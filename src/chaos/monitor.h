@@ -7,7 +7,7 @@
 
 #include "chaos/injector.h"
 #include "chaos/scenario.h"
-#include "service/broker.h"
+#include "service/sharded_broker.h"
 #include "sim/time.h"
 
 namespace cronets::chaos {
@@ -61,10 +61,12 @@ struct ResilienceReport {
 /// into resilience SLOs: time-to-detect, time-to-repin, degraded
 /// session-seconds, availability, and in/out-of-fault goodput regret.
 /// Attaches itself as the broker's monitor; purely observational, so the
-/// broker's decision fingerprint is identical with or without it.
+/// broker's decision fingerprint is identical with or without it. Pairs
+/// are tracked by global pair id, so the report is the same at any shard
+/// count.
 class ResilienceMonitor : public service::BrokerMonitor, public FaultObserver {
  public:
-  explicit ResilienceMonitor(service::Broker* broker);
+  explicit ResilienceMonitor(service::ShardedBroker* broker);
   ~ResilienceMonitor() override;
 
   /// Close the session-second integrals and open fault windows at the end
@@ -110,7 +112,12 @@ class ResilienceMonitor : public service::BrokerMonitor, public FaultObserver {
   void enter_degraded(std::uint64_t id, int pair_idx, int slot);
   void exit_degraded(std::uint64_t id, bool dropped);
 
-  service::Broker* broker_;
+  /// The session table of the shard that owns the pair.
+  const service::SessionManager& sessions_of(int pair_idx) const {
+    return broker_->shard_sessions(broker_->pair_shard(pair_idx));
+  }
+
+  service::ShardedBroker* broker_;
   ResilienceReport report_;
   std::vector<ActiveFault> active_;
   struct Degraded {

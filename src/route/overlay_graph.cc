@@ -160,7 +160,6 @@ void OverlayGraph::select_due(std::vector<int>* out) {
 
 void OverlayGraph::measure(sim::Time t) {
   std::fill(delay_dirty_rows_.begin(), delay_dirty_rows_.end(), 0);
-  rate_latch_moves_round_ = 0;
   probed_last_round_ = 0;
   if (handles_.empty()) {
     ++rounds_measured_;
@@ -264,7 +263,6 @@ void OverlayGraph::measure(sim::Time t) {
       // fresh edge latches on first sight (|x - 0| > th*0 for any x > 0).
       if (std::abs(e.ewma_bps - e.metric_bps) > th * e.metric_bps) {
         e.metric_bps = e.ewma_bps;
-        ++rate_latch_moves_round_;
         ++latch_moves_total_;
       }
       if (std::abs(e.ewma_delay_ms - e.metric_delay_ms) >

@@ -117,10 +117,6 @@ class OverlayGraph {
   const std::vector<char>& delay_dirty_rows() const {
     return delay_dirty_rows_;
   }
-  /// Any rate (bps) latch moved in the latest round. Backpressure weights
-  /// couple every commodity to every edge rate, so one rate move wakes
-  /// all virtual-queue columns for one round.
-  bool rate_latch_moved() const { return rate_latch_moves_round_ > 0; }
   std::uint64_t latch_moves_total() const { return latch_moves_total_; }
 
  private:
@@ -180,7 +176,6 @@ class OverlayGraph {
   int probed_last_round_ = 0;
   std::uint64_t probed_total_ = 0;
   std::vector<char> delay_dirty_rows_;
-  int rate_latch_moves_round_ = 0;
   std::uint64_t latch_moves_total_ = 0;
 
   // Batched measurement machinery (scratch persists across rounds so a

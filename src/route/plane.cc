@@ -72,7 +72,6 @@ void RoutePlane::step(sim::Time t) {
                      (cfg_.full_refresh_rounds > 0 &&
                       rounds_ % cfg_.full_refresh_rounds == 0);
   ctx.delay_dirty_rows = &graph_.delay_dirty_rows();
-  ctx.rate_latch_moved = graph_.rate_latch_moved();
   policy_->round(graph_, &agents_, &ctx);
   recomputed_total_ += static_cast<std::uint64_t>(ctx.entries_recomputed);
   deltas_total_ += static_cast<std::uint64_t>(ctx.entries_changed);

@@ -91,8 +91,6 @@ struct RoundContext {
   /// Per-source-node flags: a delay latch in this row moved during this
   /// round's measurement (owned by the graph; nullptr = treat all dirty).
   const std::vector<char>* delay_dirty_rows = nullptr;
-  /// Any rate (bps) latch moved during this round's measurement.
-  bool rate_latch_moved = true;
 
   // -- outputs (policy -> plane) --
   /// (agent, destination) entries actually recomputed / bitwise changed.
@@ -122,9 +120,10 @@ struct RoundContext {
 /// `ctx->full_refresh`, the policy may skip any (agent, destination)
 /// entry whose inputs provably did not move — skipped entries keep their
 /// previous value, which is bitwise what a full recompute would have
-/// produced. The policies derive the skip set from the graph's latched
-/// metrics (frozen between threshold crossings) plus their own
-/// changed-entry bitsets from the previous round.
+/// produced. The delay policy derives its skip set from the graph's latched
+/// metrics (frozen between threshold crossings) plus its own changed-entry
+/// bitsets from the previous round; backpressure, whose virtual queues move
+/// every round, recomputes everything in both modes.
 class RoutePolicy {
  public:
   virtual ~RoutePolicy() = default;

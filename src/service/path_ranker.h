@@ -161,7 +161,7 @@ bool path_uses_adjacency(const topo::RouterPath& path, int as_a, int as_b);
 /// Per-pair ranked path tables: direct vs. split-overlay candidates scored
 /// by smoothed predicted throughput, backed by interned topo::PathCache
 /// PathRefs. The ranker itself is passive — the ProbeScheduler decides when
-/// a pair is re-measured, the Broker feeds samples in via `apply_sample`.
+/// a pair is re-measured, the broker feeds samples in via `apply_sample`.
 class PathRanker {
  public:
   PathRanker(topo::Internet* topo, RankerConfig cfg,

@@ -14,7 +14,7 @@ namespace cronets::service {
 /// much measurement the broker may spend per scheduler tick.
 struct ProbeConfig {
   /// Target staleness: a pair becomes due once its last probe is at least
-  /// this old (also the bound on failover reaction time — see Broker).
+  /// this old (also the bound on failover reaction time — see ShardedBroker).
   sim::Time interval = sim::Time::seconds(10);
   /// Scheduler cadence. Each tick selects due pairs and measures them.
   sim::Time tick = sim::Time::seconds(1);

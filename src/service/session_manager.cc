@@ -31,6 +31,12 @@ double NicLedger::used_bps(int overlay_ep) const {
   return it == slot_.end() ? 0.0 : used_[static_cast<std::size_t>(it->second)];
 }
 
+bool NicLedger::fits(int overlay_ep, double bps, double cap_bps) const {
+  const auto it = slot_.find(overlay_ep);
+  return it != slot_.end() &&
+         used_[static_cast<std::size_t>(it->second)] + bps <= cap_bps;
+}
+
 double NicLedger::total_used_bps() const {
   double sum = 0.0;
   for (double u : used_) sum += u;
@@ -49,6 +55,8 @@ SessionManager::SessionManager(AdmissionConfig cfg,
       shared_billing_(shared_billing),
       shared_cost_(shared_cost) {
   assert((id_tag & ~(0xffull << 56)) == 0 && "tag lives in the top byte");
+  assert(shared_ != nullptr && shared_billing_ != nullptr &&
+         shared_cost_ != nullptr && "the broker's global books are required");
 }
 
 /// Reserved spend rate of a session: USD per wall-clock hour at its demand
@@ -70,7 +78,7 @@ void SessionManager::reserve(const Candidate& c, double demand_bps,
   }
   for (int ep : s->reserved_eps) {
     ledger_.add(ep, demand_bps);
-    if (shared_) shared_->add(ep, demand_bps);
+    shared_->add(ep, demand_bps);
   }
   // Billing snapshot + spend-rate reservation (no-op with pricing off:
   // candidates then carry no bills and a zero rate).
@@ -80,19 +88,19 @@ void SessionManager::reserve(const Candidate& c, double demand_bps,
   s->cost_rate_usd_per_hour = spend_rate_usd_per_hour(demand_bps, c.usd_per_gb);
   if (s->cost_rate_usd_per_hour > 0.0) {
     cost_.add(s->cost_rate_usd_per_hour);
-    if (shared_cost_) shared_cost_->add(s->cost_rate_usd_per_hour);
+    shared_cost_->add(s->cost_rate_usd_per_hour);
   }
 }
 
 void SessionManager::unreserve(Session* s) {
   for (int ep : s->reserved_eps) {
     ledger_.sub(ep, s->demand_bps);
-    if (shared_) shared_->sub(ep, s->demand_bps);
+    shared_->sub(ep, s->demand_bps);
   }
   s->reserved_eps.clear();
   if (s->cost_rate_usd_per_hour > 0.0) {
     cost_.sub(s->cost_rate_usd_per_hour);
-    if (shared_cost_) shared_cost_->sub(s->cost_rate_usd_per_hour);
+    shared_cost_->sub(s->cost_rate_usd_per_hour);
   }
   s->cost_rate_usd_per_hour = 0.0;
   s->bills.clear();
@@ -104,7 +112,7 @@ void SessionManager::accrue(Session* s, sim::Time now) {
     const double gb =
         s->demand_bps * (now - s->billed_until).to_seconds() / 8e9;
     billing_.meter_session(s->bills, gb);
-    if (shared_billing_) shared_billing_->meter_session(s->bills, gb);
+    shared_billing_->meter_session(s->bills, gb);
   }
   s->billed_until = now;
 }
@@ -118,13 +126,12 @@ int SessionManager::pick_candidate(PathRanker& ranker, int pair_idx,
   const econ::EconConfig& econ = ranker.config().econ;
   // Budget gate (max_goodput_under_budget): a paid candidate is only
   // admissible while reserving its spend rate keeps the fleet's reserved
-  // USD/hour within budget. The check goes through the authority book —
-  // the shared global one when sharded, since budgets don't multiply.
+  // USD/hour within budget. The check goes through the shared global
+  // book, since budgets don't multiply with shards.
   const bool budget_gated =
       econ.pricing != nullptr &&
       econ.policy == econ::CostPolicy::kMaxGoodputUnderBudget &&
       econ.budget_usd_per_hour > 0.0;
-  const econ::CostLedger& cost_authority = shared_cost_ ? *shared_cost_ : cost_;
   int direct_fallback = 0;
   bool denied = false;
   for (int ci : order) {
@@ -140,35 +147,23 @@ int SessionManager::pick_candidate(PathRanker& ranker, int pair_idx,
     if (c.down) continue;
     if (budget_gated) {
       const double rate = spend_rate_usd_per_hour(demand_bps, c.usd_per_gb);
-      if (rate > 0.0 && cost_authority.reserved_usd_per_hour() + rate >
+      if (rate > 0.0 && shared_cost_->reserved_usd_per_hour() + rate >
                             econ.budget_usd_per_hour) {
         ++budget_denied_;
         denied = true;
         continue;
       }
     }
-    // Capacity check against the authority ledger: the shared global one
-    // when sharded (NICs are physical), this table's own otherwise. A
-    // multi-hop candidate needs headroom on every VM of its chain.
-    const NicLedger& authority = shared_ ? *shared_ : ledger_;
-    if (c.kind == core::PathKind::kMultiHop) {
-      if (c.via.empty()) continue;  // no usable plane route right now
-      bool fits = true;
-      for (int ep : c.via) {
-        if (authority.used_bps(ep) + demand_bps > cfg_.nic_capacity_bps) {
-          fits = false;
-          break;
-        }
-      }
-      if (!fits) {
-        denied = true;
-        continue;
-      }
-      if (denied) ++overlay_denied_;
-      return ci;
-    }
-    const double used = authority.used_bps(c.overlay_ep);
-    if (used + demand_bps <= cfg_.nic_capacity_bps) {
+    // Capacity check against the shared global ledger (NICs are
+    // physical). A multi-hop candidate needs headroom on every VM of its
+    // chain, and a chain through a VM the ledger does not hold never fits.
+    const auto fits = [&](int ep) {
+      return shared_->fits(ep, demand_bps, cfg_.nic_capacity_bps);
+    };
+    const bool multihop = c.kind == core::PathKind::kMultiHop;
+    if (multihop && c.via.empty()) continue;  // no usable plane route now
+    if (multihop ? std::all_of(c.via.begin(), c.via.end(), fits)
+                 : fits(c.overlay_ep)) {
       if (denied) ++overlay_denied_;
       return ci;
     }

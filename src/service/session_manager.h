@@ -33,6 +33,11 @@ class NicLedger {
   void sub(int overlay_ep, double bps);
   /// Current reserved bandwidth on one overlay VM's NIC (0 for unknown).
   double used_bps(int overlay_ep) const;
+  /// Whether `bps` more still fits under `cap_bps` on one overlay VM's NIC.
+  /// False for an endpoint the ledger does not hold: a VM the broker never
+  /// rented has no NIC to reserve on (a routing plane may span more DCs
+  /// than the rented fleet, so a via chain can name one).
+  bool fits(int overlay_ep, double bps, double cap_bps) const;
   /// Highest reservation ever observed on any overlay NIC.
   double peak_used_bps() const { return peak_used_bps_; }
   /// Sum of current reservations across every overlay NIC.
@@ -75,24 +80,24 @@ struct Session {
 /// admission path.
 class SessionManager {
  public:
-  /// `shared_nic`, when given, is the capacity authority admission checks
-  /// and reservations go through *in addition to* this table's own ledger
-  /// — the sharded broker hands every shard the same global ledger so NIC
+  /// `shared_nic` is the capacity authority admission checks and
+  /// reservations go through *in addition to* this table's own ledger —
+  /// the sharded broker hands every shard the same global ledger so NIC
   /// capacity stays physical while per-shard ledgers keep the accounting
   /// split (they sum to the shared ledger at all times). `id_tag` is OR'd
-  /// into the top byte of every session id (shard routing; 0 = untagged).
+  /// into the top byte of every session id (shard routing).
   /// `shared_billing` / `shared_cost` play the same authority role for the
   /// economics plane: the sharded broker's global billing ledger and
   /// global spend-rate book, written in global event order so their
   /// contents are bitwise invariant to the shard count, while this table's
   /// own books keep the per-shard split (sums match within rounding).
   SessionManager(AdmissionConfig cfg, const std::vector<int>& overlay_eps,
-                 NicLedger* shared_nic = nullptr, std::uint64_t id_tag = 0,
-                 econ::BillingLedger* shared_billing = nullptr,
-                 econ::CostLedger* shared_cost = nullptr);
+                 NicLedger* shared_nic, std::uint64_t id_tag,
+                 econ::BillingLedger* shared_billing,
+                 econ::CostLedger* shared_cost);
 
   static constexpr std::uint64_t kInvalidSession = 0;
-  /// Top-byte tag a session id was minted with (0 for untagged tables).
+  /// Top-byte tag a session id was minted with.
   static int id_tag_of(std::uint64_t id) { return static_cast<int>(id >> 56); }
 
   /// Admit a session onto the best admissible candidate of its pair
@@ -123,8 +128,7 @@ class SessionManager {
   std::size_t active() const { return active_; }
 
   /// Current reserved bandwidth on one overlay VM's NIC (0 for unknown).
-  /// This is the table's *own* accounting — per-shard usage when a shared
-  /// ledger is attached, total usage otherwise.
+  /// This is the table's *own* (per-shard) accounting.
   double overlay_used_bps(int overlay_ep) const {
     return ledger_.used_bps(overlay_ep);
   }
@@ -138,8 +142,8 @@ class SessionManager {
   /// were pushed to a lower-ranked path by a full NIC.
   std::uint64_t overlay_denied() const { return overlay_denied_; }
 
-  /// This table's own metered billing book (per-shard slice when a shared
-  /// ledger is attached) and reserved-spend-rate book.
+  /// This table's own (per-shard) metered billing book and
+  /// reserved-spend-rate book.
   const econ::BillingLedger& billing() const { return billing_; }
   const econ::CostLedger& cost_ledger() const { return cost_; }
   /// Admissions/migrations pushed off a paid candidate because reserving
@@ -196,13 +200,13 @@ class SessionManager {
   void detach_from_pair(PairState& p, Session& s);
 
   AdmissionConfig cfg_;
-  NicLedger ledger_;            // this table's own (per-shard) accounting
-  NicLedger* shared_ = nullptr; // capacity authority when sharded
-  std::uint64_t id_tag_ = 0;
-  econ::BillingLedger billing_;            // per-shard metered billing
-  econ::BillingLedger* shared_billing_ = nullptr;  // global book (sharded)
-  econ::CostLedger cost_;                  // per-shard reserved spend rate
-  econ::CostLedger* shared_cost_ = nullptr;        // budget authority
+  NicLedger ledger_;    // this table's own (per-shard) accounting
+  NicLedger* shared_;   // capacity authority
+  std::uint64_t id_tag_;
+  econ::BillingLedger billing_;           // per-shard metered billing
+  econ::BillingLedger* shared_billing_;   // global book
+  econ::CostLedger cost_;                 // per-shard reserved spend rate
+  econ::CostLedger* shared_cost_;         // budget authority
   std::vector<Session> slots_;
   std::vector<std::uint32_t> free_;
   std::size_t active_ = 0;

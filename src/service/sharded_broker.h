@@ -46,13 +46,15 @@ struct ShardedBrokerStats {
   std::uint64_t migrations = 0;
   std::uint64_t probes = 0;
   std::uint64_t probe_ticks = 0;
-  /// Pairs the global probe sweeps examined, summed over ticks (the
-  /// incremental scheduler's due prefix per tick; every pair when the
-  /// stateless scan runs) — same semantics as BrokerStats.
+  /// Pairs the global probe sweeps examined, summed over ticks: the
+  /// incremental scheduler walks only each tick's due prefix (zero on a
+  /// clean steady-state tick), the stateless scan always walks every pair.
+  /// Dividing by probe_ticks gives the dirty-set size the benches report.
   std::uint64_t sweep_pairs_touched = 0;
   std::uint64_t ranking_flips = 0;
   std::uint64_t failover_events = 0;
   std::uint64_t failover_repins = 0;
+  /// Reaction time of the most recent failover (mutation -> repin done).
   sim::Time last_failover_reaction{0};
   /// Shard-count- and thread-count-invariant global decision fingerprint:
   /// per-pair decision chains keyed by global pair id, merged across
@@ -92,9 +94,8 @@ struct ShardedBrokerStats {
 ///  - Measurements are pure functions of (seed, src, dst, t); shards and
 ///    batches are a fan-out knob only.
 ///  - Samples are applied in global-selection order on the single-threaded
-///    event queue (the same technique as the single broker's
-///    pair-index-ordered application), so cross-pair effects through the
-///    shared NIC ledger happen in one fixed order.
+///    event queue, so cross-pair effects through the shared NIC ledger
+///    happen in one fixed order.
 ///  - Topology mutations fan out to every shard in shard-index order
 ///    through one topo::Internet mutation listener; impacted pairs merge
 ///    into one globally sorted failover batch.
@@ -102,6 +103,9 @@ struct ShardedBrokerStats {
 ///    (keyed by global pair id) across shards in shard-index order with
 ///    wrapping addition — commutative, so any partition of the pairs
 ///    yields the same 64-bit value.
+///  - A BrokerMonitor attached with set_monitor sees every decision in
+///    that same global order, keyed by global pair id, and never feeds
+///    back into a decision.
 class ShardedBroker final : public ControlPlane {
  public:
   ShardedBroker(topo::Internet* topo, const core::ModelMeasurement* meter,
@@ -127,6 +131,12 @@ class ShardedBroker final : public ControlPlane {
   void warm_up();
 
   void run_until(sim::Time t) override;
+
+  /// Attach (or detach with nullptr) a decision observer. Observation
+  /// never feeds back into decisions, so the decision fingerprint is
+  /// identical with and without a monitor.
+  void set_monitor(BrokerMonitor* monitor) { monitor_ = monitor; }
+
   sim::Time now() const override { return now_; }
   sim::EventQueue& queue() override { return queue_; }
   sim::Time pair_last_probe(int pair_idx) const override {
@@ -172,8 +182,10 @@ class ShardedBroker final : public ControlPlane {
   /// Live sessions across all shards whose pinned path crosses (as_a,
   /// as_b) — 0 after a completed failover.
   int sessions_traversing(int as_a, int as_b) const;
-  /// The transit-to-transit adjacency carrying the most sessions fleet-
-  /// wide (failure-injection helper, as on Broker).
+  /// The transit-to-transit AS adjacency carrying the most sessions
+  /// fleet-wide right now (failure-injection helper: both ASes are
+  /// tier-1/2, so routing reconverges around the cut instead of
+  /// partitioning). False if no session crosses any transit adjacency.
   bool busiest_transit_adjacency(int* as_a, int* as_b) const;
 
  private:
@@ -210,11 +222,12 @@ class ShardedBroker final : public ControlPlane {
   /// Partition `sel` (global ids, selection order) across shards and
   /// measure every slice (parallel over shard x batch tasks).
   void measure_selection(const std::vector<int>& sel, sim::Time t);
-  /// Apply the measured samples in global-selection order.
-  void apply_selection(const std::vector<int>& sel, sim::Time t,
-                       bool force_repin);
-  void apply_probe(Shard& sh, int global_id, int local_idx,
-                   const core::PairSample& s, sim::Time t, bool force_repin);
+  /// Apply the measured samples in global-selection order; returns the
+  /// number of sessions that migrated.
+  int apply_selection(const std::vector<int>& sel, sim::Time t,
+                      bool force_repin);
+  int apply_probe(Shard& sh, int global_id, int local_idx,
+                  const core::PairSample& s, sim::Time t, bool force_repin);
   void on_mutation(const topo::Mutation& m);
   void handle_failover();
 
@@ -230,6 +243,7 @@ class ShardedBroker final : public ControlPlane {
   econ::CostLedger global_cost_;
   std::vector<std::unique_ptr<Shard>> shards_;
   ProbeScheduler scheduler_;
+  BrokerMonitor* monitor_ = nullptr;
   int listener_id_ = -1;
   std::uint64_t route_epoch_ = 0;
 

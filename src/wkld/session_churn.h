@@ -56,9 +56,8 @@ struct SessionChurnStats {
   std::vector<float> admit_staleness_s;
 };
 
-/// Drives a service::ControlPlane — the single Broker or the sharded
-/// multi-broker plane — with session churn over fixed client/server
-/// populations. All randomness comes from one seeded serial stream drawn
+/// Drives a service::ControlPlane (the sharded broker, or a wrapper around
+/// it) with session churn over fixed client/server populations. All randomness comes from one seeded serial stream drawn
 /// on the (single-threaded) event queue, so the workload is deterministic
 /// and independent of the control plane's probe parallelism and shard
 /// count.

@@ -3,7 +3,7 @@
 // fault through the production mutation machinery; the resilience monitor
 // is purely observational (identical decision fingerprints with and
 // without it) and its SLO report is bitwise identical across thread
-// counts; hard faults repin within failover_delay + one probe interval;
+// and shard counts; hard faults repin within failover_delay + one probe interval;
 // and the three measurement samplers stay bitwise identical while storm
 // and gray-failure overlays are active.
 
@@ -18,7 +18,7 @@
 #include "chaos/monitor.h"
 #include "chaos/scenario.h"
 #include "model/batch_sampler.h"
-#include "service/broker.h"
+#include "service/sharded_broker.h"
 #include "sim/thread_pool.h"
 #include "wkld/session_churn.h"
 #include "wkld/world.h"
@@ -174,14 +174,15 @@ TEST(ChaosInjector, AppliesEveryFaultAndRestoresTheWorld) {
 }
 
 struct ChaosRun {
-  service::BrokerStats stats;
+  service::ShardedBrokerStats stats;
   ResilienceReport report;
   double repin_bound_s = 0.0;
 };
 
 /// One broker run under the standard fault mix. Everything in the result
-/// must be a pure function of the seeds and config — never of `threads`.
-ChaosRun run_chaos(int threads, bool with_monitor = true) {
+/// must be a pure function of the seeds and config — never of `threads`
+/// or `shards`.
+ChaosRun run_chaos(int threads, bool with_monitor = true, int shards = 1) {
   wkld::World world(kWorldSeed);
   const auto clients = world.make_web_clients(12);
   const auto servers = world.make_servers();
@@ -193,7 +194,8 @@ ChaosRun run_chaos(int threads, bool with_monitor = true) {
   cfg.probe.budget_per_tick = 16;
   cfg.failover_delay = sim::Time::seconds(1);
   sim::ThreadPool pool(sim::Parallelism{threads});
-  service::Broker broker(&world.internet(), &world.meter(), &pool, overlays, cfg);
+  service::ShardedBroker broker(&world.internet(), &world.meter(), &pool,
+                                overlays, shards, cfg);
 
   wkld::SessionChurnParams churn_params;
   churn_params.seed = kWorldSeed ^ 0x5e55;
@@ -256,18 +258,15 @@ TEST(ChaosResilience, HardFaultsRepinWithinFailoverPlusOneInterval) {
   EXPECT_LE(r.report.max_hard_repin_s, r.repin_bound_s);
 }
 
-TEST(ChaosResilience, SloReportBitwiseIdenticalAcrossThreadCounts) {
-  const ChaosRun serial = run_chaos(1);
-  const ChaosRun parallel = run_chaos(4);
+void expect_same_run(const ChaosRun& x, const ChaosRun& y) {
+  EXPECT_EQ(x.stats.decision_fingerprint, y.stats.decision_fingerprint);
+  EXPECT_EQ(x.stats.sessions_admitted, y.stats.sessions_admitted);
+  EXPECT_EQ(x.stats.migrations, y.stats.migrations);
+  EXPECT_EQ(x.stats.failover_repins, y.stats.failover_repins);
+  EXPECT_EQ(x.stats.regret_sum, y.stats.regret_sum);
 
-  EXPECT_EQ(serial.stats.decision_fingerprint, parallel.stats.decision_fingerprint);
-  EXPECT_EQ(serial.stats.sessions_admitted, parallel.stats.sessions_admitted);
-  EXPECT_EQ(serial.stats.migrations, parallel.stats.migrations);
-  EXPECT_EQ(serial.stats.failover_repins, parallel.stats.failover_repins);
-  EXPECT_EQ(serial.stats.regret_sum, parallel.stats.regret_sum);
-
-  const ResilienceReport& a = serial.report;
-  const ResilienceReport& b = parallel.report;
+  const ResilienceReport& a = x.report;
+  const ResilienceReport& b = y.report;
   ASSERT_EQ(a.faults.size(), b.faults.size());
   for (std::size_t i = 0; i < a.faults.size(); ++i) {
     EXPECT_EQ(a.faults[i].kind, b.faults[i].kind);
@@ -291,14 +290,33 @@ TEST(ChaosResilience, SloReportBitwiseIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.sessions_dropped, b.sessions_dropped);
 }
 
+TEST(ChaosResilience, SloReportBitwiseIdenticalAcrossThreadCounts) {
+  expect_same_run(run_chaos(1), run_chaos(4));
+}
+
+TEST(ChaosResilience, SloReportBitwiseIdenticalAcrossShardCounts) {
+  // The monitor tracks pairs by global id and reads each pair's sessions
+  // from its owning shard, so partitioning the pair space moves neither a
+  // decision nor a single bit of the SLO report.
+  const ChaosRun one = run_chaos(1, /*with_monitor=*/true, /*shards=*/1);
+  const ChaosRun eight = run_chaos(1, /*with_monitor=*/true, /*shards=*/8);
+  expect_same_run(one, eight);
+  EXPECT_GT(one.report.hard_faults_impacting, 0);
+  EXPECT_GT(one.report.degraded_session_s, 0.0);
+}
+
 TEST(ChaosResilience, MonitorIsPurelyObservational) {
-  // Attaching the monitor must not perturb a single decision.
-  const ChaosRun observed = run_chaos(1, /*with_monitor=*/true);
-  const ChaosRun bare = run_chaos(1, /*with_monitor=*/false);
-  EXPECT_EQ(observed.stats.decision_fingerprint, bare.stats.decision_fingerprint);
-  EXPECT_EQ(observed.stats.sessions_admitted, bare.stats.sessions_admitted);
-  EXPECT_EQ(observed.stats.migrations, bare.stats.migrations);
-  EXPECT_EQ(observed.stats.regret_sum, bare.stats.regret_sum);
+  // Attaching the monitor must not perturb a single decision, at one
+  // shard or many.
+  for (const int shards : {1, 8}) {
+    const ChaosRun observed = run_chaos(1, /*with_monitor=*/true, shards);
+    const ChaosRun bare = run_chaos(1, /*with_monitor=*/false, shards);
+    EXPECT_EQ(observed.stats.decision_fingerprint,
+              bare.stats.decision_fingerprint);
+    EXPECT_EQ(observed.stats.sessions_admitted, bare.stats.sessions_admitted);
+    EXPECT_EQ(observed.stats.migrations, bare.stats.migrations);
+    EXPECT_EQ(observed.stats.regret_sum, bare.stats.regret_sum);
+  }
 }
 
 void expect_same_metrics(const model::PathMetrics& a, const model::PathMetrics& b) {
