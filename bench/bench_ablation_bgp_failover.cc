@@ -80,8 +80,8 @@ int main() {
     }
     const bool bgp_dark = t >= kFail && t < kHeal;
     if (!bgp_dark) {
-      const auto p = net.path(sender, client);
-      if (p.valid) {
+      const topo::PathRef p = net.cached_path(sender, client);
+      if (p->valid) {
         auto m = world.flow().sample(p, at);
         m.rwnd_bytes = static_cast<double>(net.endpoint(client).rcv_buf);
         bgp_bps = world.flow().tcp_throughput(m);
@@ -93,8 +93,8 @@ int main() {
     std::vector<double> per_path;
     if (!bgp_dark) per_path.push_back(bgp_bps);
     for (int o : bgp_dark ? surviving : overlays) {
-      auto m1 = world.flow().sample(net.path(sender, o), at);
-      auto m2 = world.flow().sample(net.path(o, client), at);
+      auto m1 = world.flow().sample(net.cached_path(sender, o), at);
+      auto m2 = world.flow().sample(net.cached_path(o, client), at);
       m2.rwnd_bytes = static_cast<double>(net.endpoint(client).rcv_buf);
       per_path.push_back(
           world.flow().tcp_throughput(model::FlowModel::concat(m1, m2)));

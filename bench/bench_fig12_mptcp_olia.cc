@@ -42,7 +42,7 @@ int run_fig(transport::Coupling coupling, const char* figname, double paper_mptc
   for (int a : dcs) {
     for (int b : dcs) {
       if (a == b) continue;
-      auto m = world.flow().sample(net.path(a, b), at);
+      auto m = world.flow().sample(net.cached_path(a, b), at);
       pairs.push_back({a, b, world.flow().tcp_throughput(m)});
     }
   }

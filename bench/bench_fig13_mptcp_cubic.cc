@@ -29,7 +29,7 @@ int main() {
   for (int a : dcs) {
     for (int b : dcs) {
       if (a == b) continue;
-      auto m = world.flow().sample(net.path(a, b), at);
+      auto m = world.flow().sample(net.cached_path(a, b), at);
       pairs.push_back({a, b, world.flow().tcp_throughput(m)});
     }
   }

@@ -281,9 +281,7 @@ void ModelMeasurement::measure_batch(const ProbeRequest* reqs, std::size_t n,
       s.leg1_bps = t1;
       s.leg2_bps = t2;
       s.split_bps = 0.97 * std::min(t1, t2);
-      // discrete() draws inside an unsequenced std::min call; the compiler
-      // evaluates the second leg first, so mirror that draw order here
-      // (pinned by the batched==scalar equality tests).
+      // FlowModel::discrete's draw-order contract: leg 2, then leg 1.
       const double d2 = finish_tcp(pftk_2, m2, rng);
       const double d1 = finish_tcp(pftk_1, m1, rng);
       s.discrete_bps = std::min(d1, d2);

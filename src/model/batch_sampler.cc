@@ -4,39 +4,28 @@
 #include <cassert>
 
 #include "model/simd/dispatch.h"
-#include "sim/hash_rng.h"
 
 namespace cronets::model {
 
 namespace {
-// utilization() caps the AR(1) truncation horizon at 64 (see FlowModel);
-// the innovation scratch below relies on that bound.
+// FlowModel::make_link_field caps the AR(1) truncation horizon at 64;
+// the fold kernels' innovation scratch relies on that bound.
 constexpr int kMaxHorizon = 64;
 }  // namespace
 
 void BatchSampler::reset() {
   path_index_.clear();
-  path_ref_.clear();
-  path_base_rtt_ms_.clear();
+  path_agg_.clear();
   path_min_capacity_bps_.clear();
   path_hops_.clear();
   path_slot_begin_.clear();
   path_slot_begin_.push_back(0);
   slot_field_.clear();
   field_index_.clear();
+  f_field_.clear();
   f_stream_.clear();
   f_epoch_ns_.clear();
-  f_a_.clear();
   f_horizon_.clear();
-  f_stationary_sd_.clear();
-  f_sqrt_w2_.clear();
-  f_delay_ms_.clear();
-  f_pkt_ms_.clear();
-  f_capacity_bps_.clear();
-  f_bg_.clear();
-  f_has_diurnal_.clear();
-  f_event_begin_.clear();
-  events_.clear();
   f_weight_begin_.clear();
   f_weights_.clear();
   used_.clear();
@@ -66,20 +55,10 @@ std::uint32_t BatchSampler::intern_field(const FlowModel::LinkField& f) {
       field_index_.emplace(f.stream, static_cast<std::uint32_t>(f_stream_.size()));
   if (!inserted) return it->second;
   assert(f.horizon <= kMaxHorizon);
+  f_field_.push_back(&f);
   f_stream_.push_back(f.stream);
   f_epoch_ns_.push_back(f.epoch_ns);
-  f_a_.push_back(f.a);
   f_horizon_.push_back(f.horizon);
-  f_stationary_sd_.push_back(f.stationary_sd);
-  f_sqrt_w2_.push_back(f.sqrt_w2);
-  f_delay_ms_.push_back(f.delay_ms);
-  f_pkt_ms_.push_back(f.pkt_ms);
-  f_capacity_bps_.push_back(f.capacity_bps);
-  f_bg_.push_back(f.bg);
-  f_has_diurnal_.push_back(f.has_diurnal ? 1 : 0);
-  if (f_event_begin_.empty()) f_event_begin_.push_back(0);
-  events_.insert(events_.end(), f.events.begin(), f.events.end());
-  f_event_begin_.push_back(static_cast<std::uint32_t>(events_.size()));
   // Precompute the exponential weights with the scalar sampler's own
   // w *= a recurrence: the lane-ordered reduction over this array is then
   // bitwise identical to the original loop-carried form.
@@ -96,18 +75,17 @@ std::uint32_t BatchSampler::intern_field(const FlowModel::LinkField& f) {
 int BatchSampler::intern(const topo::PathRef& path) {
   const auto it = path_index_.find(path.get());
   if (it != path_index_.end()) return it->second;
-  // Reuse the model's memoized aggregates: the SoA store is a repack of
-  // exactly the constants the scalar fast path consumes.
-  const auto agg = flow_->aggregates(path);
-  const int handle = static_cast<int>(path_ref_.size());
-  path_ref_.push_back(path);
-  path_base_rtt_ms_.push_back(agg->base_rtt_ms);
-  path_min_capacity_bps_.push_back(agg->min_capacity_bps);
-  path_hops_.push_back(agg->hop_count);
+  // Reuse (and pin) the model's memoized aggregates: the LinkFields the
+  // store points at live inside them.
+  auto agg = flow_->aggregates(path);
+  const int handle = static_cast<int>(path_agg_.size());
   for (const FlowModel::LinkField& f : agg->links) {
     slot_field_.push_back(intern_field(f));
   }
   path_slot_begin_.push_back(static_cast<std::uint32_t>(slot_field_.size()));
+  path_min_capacity_bps_.push_back(agg->min_capacity_bps);
+  path_hops_.push_back(agg->hop_count);
+  path_agg_.push_back(std::move(agg));
   path_index_.emplace(path.get(), handle);
   return handle;
 }
@@ -149,7 +127,7 @@ void BatchSampler::sample_batch(const int* handles, std::size_t n, sim::Time t,
     // copy its metrics to every position that names it.
     plan_uniq_.clear();
     plan_out_of_.resize(n);
-    std::vector<int> uniq_of(path_ref_.size(), -1);
+    std::vector<int> uniq_of(path_agg_.size(), -1);
     for (std::size_t i = 0; i < n; ++i) {
       const int h = handles[i];
       int& u = uniq_of[static_cast<std::size_t>(h)];
@@ -197,14 +175,11 @@ void BatchSampler::sample_batch(const int* handles, std::size_t n, sim::Time t,
   // fold runs one field per SIMD lane in the scalar fold's strict j order
   // — the serial chain that bounds this pass advances four fields per
   // vector add without touching the accumulation order (or bits) of the
-  // scalar sampler. Derived per-field quantities (loss complement,
-  // queueing delay, residual) are also computed once here instead of once
-  // per traversal.
+  // scalar sampler. FlowModel::eval_field then turns each sum into the
+  // field's loss complement, delay, queueing and residual, once per field
+  // instead of once per traversal.
   f_eval_.resize(f_stream_.size());
   for (const PlanGroup& g : plan_groups_) {
-    // Grouped innovation + fold: four fields per kernel call, one SIMD
-    // lane each, every lane's accumulation in the scalar fold's exact
-    // j order (see simd::ar1_weighted_sums).
     std::uint64_t streams4[4];
     std::int64_t ns4[4];
     int hz4[4];
@@ -219,55 +194,20 @@ void BatchSampler::sample_batch(const int* handles, std::size_t n, sim::Time t,
                             plan_wt_.data() + g.wt_begin, g.maxh, acc4);
     for (int k = 0; k < g.nf; ++k) {
       const std::uint32_t fi = g.field[k];
-      const double acc = acc4[k];
-      double u = f_bg_[fi].mean_util + acc * f_stationary_sd_[fi] / f_sqrt_w2_[fi];
-      u = std::clamp(u, 0.0, 0.98);
-      double total = f_has_diurnal_[fi] ? u + net::diurnal_component(f_bg_[fi], t) : u;
-      for (std::uint32_t e = f_event_begin_[fi]; e < f_event_begin_[fi + 1]; ++e) {
-        const topo::LinkEvent& ev = events_[e];
-        if (t >= ev.from && t < ev.until) total += ev.util_boost;
-      }
-      total = std::clamp(total, 0.0, 0.98);
-      FieldEval& ev_out = f_eval_[fi];
-      ev_out.one_minus_loss = 1.0 - net::loss_from_utilization(f_bg_[fi], total);
-      for (std::uint32_t e = f_event_begin_[fi]; e < f_event_begin_[fi + 1]; ++e) {
-        const topo::LinkEvent& ev = events_[e];
-        if (ev.loss_boost != 0.0 && t >= ev.from && t < ev.until) {
-          ev_out.one_minus_loss *= (1.0 - ev.loss_boost);
-        }
-      }
-      ev_out.delay_ms = f_delay_ms_[fi];
-      // Light cross-traffic queueing (M/M/1-ish, negligible except when hot).
-      ev_out.queue_ms =
-          std::min(5.0, total / std::max(0.02, 1.0 - total) * f_pkt_ms_[fi]);
-      ev_out.residual_bps = f_capacity_bps_[fi] * (1.0 - total);
+      f_eval_[fi] = FlowModel::eval_field(*f_field_[fi], acc4[k], t);
     }
   }
 
-  // Pass 3: per-path accumulation over precomputed per-field values, in
-  // the scalar sampler's link order and operation shape. Only distinct
-  // handles are walked (plan_uniq_); duplicates get a struct copy below.
+  // Pass 3: the scalar sampler's accumulate step over the per-field
+  // values, in link order. Only distinct handles are walked (plan_uniq_);
+  // duplicates get a struct copy below.
   for (std::size_t u = 0; u < plan_uniq_.size(); ++u) {
     const auto h = static_cast<std::size_t>(plan_uniq_[u]);
-    PathMetrics m;
-    m.capacity_bps = path_min_capacity_bps_[h];
-    m.residual_bps = 1e18;
-    double survive = 1.0;
-    double oneway_ms = 0.0;
+    FlowModel::PathAccumulator acc;
     for (std::uint32_t k = path_slot_begin_[h]; k < path_slot_begin_[h + 1]; ++k) {
-      // One interleaved 32-byte record per slot (vs four scattered array
-      // reads). delay and queue are added separately — matching the scalar
-      // sampler's accumulation order is what keeps the bits identical.
-      const FieldEval& fe = f_eval_[slot_field_[k]];
-      survive *= fe.one_minus_loss;
-      oneway_ms += fe.delay_ms;
-      oneway_ms += fe.queue_ms;
-      m.residual_bps = std::min(m.residual_bps, fe.residual_bps);
+      acc.add(f_eval_[slot_field_[k]]);
     }
-    m.loss = 1.0 - survive;
-    m.rtt_ms = 2.0 * oneway_ms;
-    m.hop_count = path_hops_[h];
-    uniq_out_[u] = m;
+    uniq_out_[u] = acc.finish(path_min_capacity_bps_[h], path_hops_[h]);
   }
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = uniq_out_[plan_out_of_[i]];

@@ -19,35 +19,56 @@ std::uint64_t next_flow_model_tag() {
 
 namespace {
 
-// Per-thread memo of field_utilization results, keyed by the link
-// direction's innovation stream id. The value is a pure function of
-// (model, topology mutation epoch, stream, t); the tag comparison is exact,
-// so a hit returns the same bits a recompute would. Shared links — access
-// links on every overlay leg, common backbone hops — are evaluated once per
-// (thread, timestep) instead of once per path traversal.
+// Per-thread memo of eval_field results, keyed by the link direction's
+// innovation stream id. The value is a pure function of (model, topology
+// mutation epoch, stream, t); the tag comparison is exact, so a hit returns
+// the same bits a recompute would. Shared links — access links on every
+// overlay leg, common backbone hops — are evaluated once per (thread,
+// timestep) instead of once per path traversal. A default entry never
+// hits: model tags start at 1.
 struct FieldMemoEntry {
   std::uint64_t model = 0;
   std::uint64_t epoch = 0;
   std::int64_t t_ns = 0;
-  double u = 0.0;
-  bool valid = false;
-  // Hoisted AR(1) truncation constants for the scalar utilization() path —
-  // a pure function of (model, epoch, stream), so warm probes skip the
-  // log/ceil horizon derivation and the weight-norm loop. Stamped
-  // separately from the value above: the value goes stale every timestep,
-  // the constants only on model/topology change.
-  std::uint64_t cmodel = 0;
-  std::uint64_t cepoch = 0;
-  bool consts_valid = false;
-  double a = 0.0;
-  int horizon = 1;
-  double stationary_sd = 0.0;
-  double sqrt_w2 = 1.0;
+  FlowModel::LinkEval eval;
 };
 
 std::unordered_map<std::uint64_t, FieldMemoEntry>& field_memo() {
   thread_local std::unordered_map<std::uint64_t, FieldMemoEntry> memo;
   return memo;
+}
+
+// Stationary AR(1) as a stateless random field: the process value at
+// integer epoch n is the exponentially-weighted sum of hash-indexed
+// innovations, u_n = mean + c * sum_{j<J} a^j e_{n-j}, truncated where the
+// tail weight is negligible and rescaled so the variance is exactly the
+// stationary sigma^2/(1-a^2). Consecutive epochs share J-1 innovations,
+// reproducing the AR(1) autocorrelation a^|d| — but unlike the recursive
+// form, any (link, direction, t) can be evaluated independently, in any
+// order, on any thread, with identical bits. This is the scalar fold of
+// the weighted sum; BatchSampler runs the same j-ordered fold through
+// simd::ar1_weighted_sums.
+double ar1_sum(const FlowModel::LinkField& f, Time t) {
+  const std::int64_t n = t.ns() / f.epoch_ns;
+  double acc = 0.0, w = 1.0;
+  for (int j = 0; j < f.horizon; ++j) {
+    acc += w * sim::hash_centered(
+                   sim::hash_combine(f.stream, static_cast<std::uint64_t>(n - j)));
+    w *= f.a;
+  }
+  return acc;
+}
+
+// Utilization of `f` given its AR(1) sum: the stationary value, clamped,
+// plus the diurnal swing and any active transient boosts, clamped again.
+double field_utilization(const FlowModel::LinkField& f, double acc, Time t) {
+  double u = f.bg.mean_util + acc * f.stationary_sd / f.sqrt_w2;
+  u = std::clamp(u, 0.0, 0.98);
+  double out = u + net::diurnal_component(f.bg, t);
+  for (const auto& ev : f.events) {
+    if (t >= ev.from && t < ev.until) out += ev.util_boost;
+  }
+  return std::clamp(out, 0.0, 0.98);
 }
 
 }  // namespace
@@ -90,168 +111,75 @@ void pftk_throughput_batch(simd::Level level, std::size_t n,
                    rwnd_bytes, p, out_bps);
 }
 
-double FlowModel::utilization(int link_id, bool forward, Time t) const {
+FlowModel::LinkField FlowModel::make_link_field(int link_id,
+                                                bool forward) const {
   const auto& link = topo_->links()[link_id];
-  const net::BackgroundParams& bg = forward ? link.bg_fwd : link.bg_rev;
-
-  // Stationary AR(1) as a stateless random field: the process value at
-  // integer epoch n is the exponentially-weighted sum of hash-indexed
-  // innovations, u_n = mean + c * sum_{j<J} a^j e_{n-j}, truncated where
-  // the tail weight is negligible and rescaled so the variance is exactly
-  // the stationary sigma^2/(1-a^2). Consecutive epochs share J-1
-  // innovations, reproducing the AR(1) autocorrelation a^|d| — but unlike
-  // the recursive form, any (link, direction, t) can be evaluated
-  // independently, in any order, on any thread, with identical bits.
-  const std::int64_t n = t.ns() / std::max<std::int64_t>(bg.epoch.ns(), 1);
-  const std::uint64_t stream = sim::hash_combine(
+  LinkField f;
+  f.bg = forward ? link.bg_fwd : link.bg_rev;
+  f.delay_ms = link.delay_ms;
+  f.capacity_bps = link.capacity_bps;
+  f.pkt_ms = 1500.0 * 8.0 / link.capacity_bps * 1e3;
+  f.stream = sim::hash_combine(
       seed_, (static_cast<std::uint64_t>(static_cast<std::uint32_t>(link_id)) << 1) |
                  (forward ? 1u : 0u));
-
-  const std::uint64_t epoch = topo_->mutation_epoch();
-  FieldMemoEntry& memo = field_memo()[stream];
-  if (memo.valid && memo.model == model_tag_ && memo.epoch == epoch &&
-      memo.t_ns == t.ns()) {
-    return memo.u;
+  f.epoch_ns = std::max<std::int64_t>(f.bg.epoch.ns(), 1);
+  // AR(1) truncation (see ar1_sum): the smallest J with a^J <= 1e-3, capped
+  // to keep the cost bounded, and the weight norm that rescales the
+  // truncated sum to the stationary variance.
+  f.a = std::clamp(1.0 - f.bg.theta, 0.0, 0.999);
+  f.horizon = 1;
+  if (f.a > 1e-3) {
+    f.horizon = std::min(64, static_cast<int>(std::ceil(-6.907755 / std::log(f.a))));
   }
-  if (!(memo.consts_valid && memo.cmodel == model_tag_ && memo.cepoch == epoch)) {
-    // Cold path: derive the truncation constants once per (model, epoch).
-    // Same expressions as build_aggregates, so warm hits change no bits.
-    memo.a = std::clamp(1.0 - bg.theta, 0.0, 0.999);
-    memo.horizon = 1;  // smallest J with a^J <= 1e-3 (cap keeps cost bounded)
-    if (memo.a > 1e-3) {
-      memo.horizon =
-          std::min(64, static_cast<int>(std::ceil(-6.907755 / std::log(memo.a))));
-    }
-    double w = 1.0, w2_sum = 0.0;
-    for (int j = 0; j < memo.horizon; ++j) {
-      w2_sum += w * w;
-      w *= memo.a;
-    }
-    memo.stationary_sd =
-        bg.sigma / std::sqrt(std::max(1e-9, 1.0 - memo.a * memo.a));
-    memo.sqrt_w2 = std::sqrt(w2_sum);
-    memo.cmodel = model_tag_;
-    memo.cepoch = epoch;
-    memo.consts_valid = true;
+  double w = 1.0, w2_sum = 0.0;
+  for (int j = 0; j < f.horizon; ++j) {
+    w2_sum += w * w;
+    w *= f.a;
   }
-  double acc = 0.0, w = 1.0;
-  for (int j = 0; j < memo.horizon; ++j) {
-    acc += w * sim::hash_centered(
-                   sim::hash_combine(stream, static_cast<std::uint64_t>(n - j)));
-    w *= memo.a;
-  }
-  double u = bg.mean_util + acc * memo.stationary_sd / memo.sqrt_w2;
-  u = std::clamp(u, 0.0, 0.98);
-
-  double out = u + net::diurnal_component(bg, t);
+  f.stationary_sd = f.bg.sigma / std::sqrt(std::max(1e-9, 1.0 - f.a * f.a));
+  f.sqrt_w2 = std::sqrt(w2_sum);
   for (const auto& ev : topo_->events()) {
-    if (ev.link_id == link_id && ev.forward == forward && t >= ev.from &&
-        t < ev.until) {
-      out += ev.util_boost;
-    }
+    if (ev.link_id == link_id && ev.forward == forward) f.events.push_back(ev);
   }
-  out = std::clamp(out, 0.0, 0.98);
-  memo.model = model_tag_;
-  memo.epoch = epoch;
-  memo.t_ns = t.ns();
-  memo.u = out;
-  memo.valid = true;
-  return out;
+  return f;
 }
 
-double FlowModel::link_loss(int link_id, bool forward, Time t) const {
-  const auto& link = topo_->links()[link_id];
-  const net::BackgroundParams& bg = forward ? link.bg_fwd : link.bg_rev;
-  double loss = net::loss_from_utilization(bg, utilization(link_id, forward, t));
-  for (const auto& ev : topo_->events()) {
-    if (ev.link_id == link_id && ev.forward == forward && ev.loss_boost != 0.0 &&
-        t >= ev.from && t < ev.until) {
-      loss = 1.0 - (1.0 - loss) * (1.0 - ev.loss_boost);
-    }
-  }
-  return loss;
+double FlowModel::utilization(int link_id, bool forward, Time t) const {
+  const LinkField f = make_link_field(link_id, forward);
+  return field_utilization(f, ar1_sum(f, t), t);
 }
 
-PathMetrics FlowModel::sample(const topo::RouterPath& path, Time t) const {
-  PathMetrics m;
-  m.capacity_bps = 1e18;
-  m.residual_bps = 1e18;
-  double survive = 1.0;
-  double oneway_ms = 0.0;
-  for (const auto& trav : path.traversals) {
-    const auto& link = topo_->links()[trav.link_id];
-    const double u = utilization(trav.link_id, trav.forward, t);
-    const net::BackgroundParams& bg = trav.forward ? link.bg_fwd : link.bg_rev;
-    // Gray-failure loss events compose multiplicatively onto the survival
-    // factor; with no active event the operation sequence is unchanged, so
-    // event-free samples keep their exact bits.
-    double one_minus_loss = 1.0 - net::loss_from_utilization(bg, u);
-    for (const auto& ev : topo_->events()) {
-      if (ev.link_id == trav.link_id && ev.forward == trav.forward &&
-          ev.loss_boost != 0.0 && t >= ev.from && t < ev.until) {
-        one_minus_loss *= (1.0 - ev.loss_boost);
-      }
+FlowModel::LinkEval FlowModel::eval_field(const LinkField& f, double acc,
+                                          Time t) {
+  const double u = field_utilization(f, acc, t);
+  LinkEval e;
+  // Gray-failure loss events compose multiplicatively onto the survival
+  // factor; with no active event the operation sequence is unchanged, so
+  // event-free samples keep their exact bits.
+  e.one_minus_loss = 1.0 - net::loss_from_utilization(f.bg, u);
+  for (const auto& ev : f.events) {
+    if (ev.loss_boost != 0.0 && t >= ev.from && t < ev.until) {
+      e.one_minus_loss *= (1.0 - ev.loss_boost);
     }
-    survive *= one_minus_loss;
-    oneway_ms += link.delay_ms;
-    // Light cross-traffic queueing (M/M/1-ish, negligible except when hot).
-    const double pkt_ms = 1500.0 * 8.0 / link.capacity_bps * 1e3;
-    oneway_ms += std::min(5.0, u / std::max(0.02, 1.0 - u) * pkt_ms);
-    m.capacity_bps = std::min(m.capacity_bps, link.capacity_bps);
-    m.residual_bps = std::min(m.residual_bps, link.capacity_bps * (1.0 - u));
   }
-  m.loss = 1.0 - survive;
-  m.rtt_ms = 2.0 * oneway_ms;
-  m.hop_count = static_cast<int>(path.routers.size());
-  return m;
+  e.delay_ms = f.delay_ms;
+  // Light cross-traffic queueing (M/M/1-ish, negligible except when hot).
+  e.queue_ms = std::min(5.0, u / std::max(0.02, 1.0 - u) * f.pkt_ms);
+  e.residual_bps = f.capacity_bps * (1.0 - u);
+  return e;
 }
 
 std::shared_ptr<const FlowModel::PathAggregates> FlowModel::build_aggregates(
     const topo::PathRef& path) const {
-  // Every constant below replicates the exact expression the generic
-  // sample()/utilization() pair evaluates per call, so the fast path's
-  // arithmetic stays bitwise identical.
   auto agg = std::make_shared<PathAggregates>();
   agg->path = path;
   agg->hop_count = static_cast<int>(path->routers.size());
   agg->links.reserve(path->traversals.size());
-  double oneway_ms = 0.0;
   for (const auto& trav : path->traversals) {
-    const auto& link = topo_->links()[trav.link_id];
-    LinkField f;
-    f.bg = trav.forward ? link.bg_fwd : link.bg_rev;
-    f.delay_ms = link.delay_ms;
-    f.capacity_bps = link.capacity_bps;
-    f.pkt_ms = 1500.0 * 8.0 / link.capacity_bps * 1e3;
-    f.a = std::clamp(1.0 - f.bg.theta, 0.0, 0.999);
-    f.epoch_ns = std::max<std::int64_t>(f.bg.epoch.ns(), 1);
-    f.stream = sim::hash_combine(
-        seed_,
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(trav.link_id)) << 1) |
-            (trav.forward ? 1u : 0u));
-    f.horizon = 1;
-    if (f.a > 1e-3) {
-      f.horizon =
-          std::min(64, static_cast<int>(std::ceil(-6.907755 / std::log(f.a))));
-    }
-    double w = 1.0, w2_sum = 0.0;
-    for (int j = 0; j < f.horizon; ++j) {
-      w2_sum += w * w;
-      w *= f.a;
-    }
-    f.stationary_sd = f.bg.sigma / std::sqrt(std::max(1e-9, 1.0 - f.a * f.a));
-    f.sqrt_w2 = std::sqrt(w2_sum);
-    f.has_diurnal = f.bg.diurnal_amp != 0.0;
-    for (const auto& ev : topo_->events()) {
-      if (ev.link_id == trav.link_id && ev.forward == trav.forward) {
-        f.events.push_back(ev);
-      }
-    }
-    oneway_ms += link.delay_ms;
-    agg->min_capacity_bps = std::min(agg->min_capacity_bps, link.capacity_bps);
+    LinkField f = make_link_field(trav.link_id, trav.forward);
+    agg->min_capacity_bps = std::min(agg->min_capacity_bps, f.capacity_bps);
     agg->links.push_back(std::move(f));
   }
-  agg->base_rtt_ms = 2.0 * oneway_ms;
   return agg;
 }
 
@@ -276,66 +204,23 @@ std::shared_ptr<const FlowModel::PathAggregates> FlowModel::aggregates(
   return agg_cache_.emplace(path.get(), std::move(agg)).first->second;
 }
 
-double FlowModel::field_utilization(const LinkField& f, Time t) const {
+FlowModel::LinkEval FlowModel::memo_eval(const LinkField& f, Time t) const {
   const std::uint64_t epoch = topo_->mutation_epoch();
   FieldMemoEntry& memo = field_memo()[f.stream];
-  if (memo.valid && memo.model == model_tag_ && memo.epoch == epoch &&
-      memo.t_ns == t.ns()) {
-    return memo.u;
+  if (memo.model != model_tag_ || memo.epoch != epoch || memo.t_ns != t.ns()) {
+    memo.model = model_tag_;
+    memo.epoch = epoch;
+    memo.t_ns = t.ns();
+    memo.eval = eval_field(f, ar1_sum(f, t), t);
   }
-  // Mirror of utilization() over precomputed constants; every floating
-  // point operation appears in the same shape and order.
-  const std::int64_t n = t.ns() / f.epoch_ns;
-  double acc = 0.0, w = 1.0;
-  for (int j = 0; j < f.horizon; ++j) {
-    acc += w * sim::hash_centered(
-                   sim::hash_combine(f.stream, static_cast<std::uint64_t>(n - j)));
-    w *= f.a;
-  }
-  double u = f.bg.mean_util + acc * f.stationary_sd / f.sqrt_w2;
-  u = std::clamp(u, 0.0, 0.98);
-  // diurnal_component returns exactly 0.0 when the amplitude is zero, and
-  // u >= 0 here, so skipping the call cannot change the sum's bits.
-  double out = f.has_diurnal ? u + net::diurnal_component(f.bg, t) : u;
-  for (const auto& ev : f.events) {
-    if (t >= ev.from && t < ev.until) out += ev.util_boost;
-  }
-  out = std::clamp(out, 0.0, 0.98);
-  // Field-wise write: the entry's hoisted utilization() constants (stamped
-  // independently) survive the value refresh.
-  memo.model = model_tag_;
-  memo.epoch = epoch;
-  memo.t_ns = t.ns();
-  memo.u = out;
-  memo.valid = true;
-  return out;
+  return memo.eval;
 }
 
 PathMetrics FlowModel::sample(const topo::PathRef& path, Time t) const {
   const auto agg = aggregates(path);
-  PathMetrics m;
-  m.capacity_bps = agg->min_capacity_bps;
-  m.residual_bps = 1e18;
-  double survive = 1.0;
-  double oneway_ms = 0.0;
-  for (const LinkField& f : agg->links) {
-    const double u = field_utilization(f, t);
-    double one_minus_loss = 1.0 - net::loss_from_utilization(f.bg, u);
-    for (const auto& ev : f.events) {
-      if (ev.loss_boost != 0.0 && t >= ev.from && t < ev.until) {
-        one_minus_loss *= (1.0 - ev.loss_boost);
-      }
-    }
-    survive *= one_minus_loss;
-    oneway_ms += f.delay_ms;
-    // Light cross-traffic queueing (M/M/1-ish, negligible except when hot).
-    oneway_ms += std::min(5.0, u / std::max(0.02, 1.0 - u) * f.pkt_ms);
-    m.residual_bps = std::min(m.residual_bps, f.capacity_bps * (1.0 - u));
-  }
-  m.loss = 1.0 - survive;
-  m.rtt_ms = 2.0 * oneway_ms;
-  m.hop_count = agg->hop_count;
-  return m;
+  PathAccumulator acc;
+  for (const LinkField& f : agg->links) acc.add(memo_eval(f, t));
+  return acc.finish(agg->min_capacity_bps, agg->hop_count);
 }
 
 PathMetrics FlowModel::concat(const PathMetrics& a, const PathMetrics& b) {
@@ -384,7 +269,11 @@ double FlowModel::overlay_split(const PathMetrics& leg1, const PathMetrics& leg2
 
 double FlowModel::discrete(const PathMetrics& leg1, const PathMetrics& leg2,
                            sim::Rng& rng) const {
-  return std::min(tcp_throughput(leg1, rng), tcp_throughput(leg2, rng));
+  // Draw-order contract: leg 2's draws come first, then leg 1's.
+  // ModelMeasurement::measure_batch replays this sequence.
+  const double t2 = tcp_throughput(leg2, rng);
+  const double t1 = tcp_throughput(leg1, rng);
+  return std::min(t1, t2);
 }
 
 double FlowModel::mptcp_coupled(const std::vector<double>& per_path_tput,

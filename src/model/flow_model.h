@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
@@ -69,8 +70,15 @@ void pftk_throughput_batch(simd::Level level, std::size_t n,
 /// simulation would be prohibitive; its agreement with the packet
 /// simulator is enforced by tests.
 ///
-/// Thread-safety: `utilization`, `link_loss`, and `sample` are const and
-/// touch no mutable state — the utilization at (link, direction, t) is a
+/// The per-link formula exists once: `make_link_field` derives a link
+/// direction's constants, `eval_field` turns one AR(1) sum into that link's
+/// contribution at time t, and `PathAccumulator` folds the contributions
+/// along a path. The scalar `sample` and model::BatchSampler differ only in
+/// how they compute the AR(1) sums and which fields they share.
+///
+/// Thread-safety: `utilization` and `sample` are const and safe to call
+/// concurrently (`sample` caches through a lock-guarded aggregate memo and
+/// a per-thread field memo) — the utilization at (link, direction, t) is a
 /// pure function of the model seed, so concurrent measurements see one
 /// consistent world regardless of query order or thread count. The
 /// throughput predictors draw measurement noise: pass an explicit `Rng`
@@ -91,16 +99,11 @@ class FlowModel {
   /// random field, with diurnal component and scheduled transient events
   /// applied). Pure function of (seed, link, direction, t).
   double utilization(int link_id, bool forward, sim::Time t) const;
-  /// Loss probability of one link direction at time `t`.
-  double link_loss(int link_id, bool forward, sim::Time t) const;
 
-  /// Sample the instantaneous metrics of a router path.
-  PathMetrics sample(const topo::RouterPath& path, sim::Time t) const;
-  /// Fast-path overload for interned paths: per-path constants (AR(1)
-  /// field parameters, direction-resolved link conditions, matching
-  /// transient events) are precomputed once per cached path, so the
-  /// per-sample loop evaluates only the stochastic field itself. Bitwise
-  /// identical to the generic overload — enforced by tests.
+  /// Sample the instantaneous metrics of an interned path. Per-path
+  /// constants come from the memoized aggregates, and each link
+  /// direction's evaluation is memoized per (thread, t), so links shared
+  /// by many paths are evaluated once per timestep.
   PathMetrics sample(const topo::PathRef& path, sim::Time t) const;
   /// Metrics of the concatenation A->O->B (one tunnel; RTT and loss add).
   static PathMetrics concat(const PathMetrics& a, const PathMetrics& b);
@@ -118,7 +121,6 @@ class FlowModel {
     int horizon = 1;            ///< truncation length of the weighted sum
     double stationary_sd = 0.0;
     double sqrt_w2 = 1.0;       ///< sqrt of the truncated weight norm
-    bool has_diurnal = false;
     std::vector<topo::LinkEvent> events;  ///< transients on this direction
   };
 
@@ -126,10 +128,47 @@ class FlowModel {
   /// the per-sample loop would otherwise re-derive on every call.
   struct PathAggregates {
     topo::PathRef path;          ///< pins the keying pointer alive
-    double base_rtt_ms = 0.0;    ///< uncongested propagation RTT
     int hop_count = 0;
     double min_capacity_bps = 1e18;
     std::vector<LinkField> links;
+  };
+
+  /// One link direction's contribution to a path sample at one instant.
+  /// delay_ms and queue_ms stay apart: the accumulate step adds them one
+  /// at a time, and pre-summing them would change the bits.
+  struct LinkEval {
+    double one_minus_loss = 1.0;
+    double delay_ms = 0.0;
+    double queue_ms = 0.0;
+    double residual_bps = 0.0;
+  };
+
+  /// The per-link formula: utilization from the AR(1) weighted innovation
+  /// sum `acc` (clamp, diurnal swing, transient util_boost), then loss
+  /// (with gray-failure loss_boost), queueing delay and residual capacity.
+  static LinkEval eval_field(const LinkField& f, double acc, sim::Time t);
+
+  /// The per-path accumulate step: folds LinkEvals in traversal order.
+  struct PathAccumulator {
+    double survive = 1.0;
+    double oneway_ms = 0.0;
+    double residual_bps = 1e18;
+
+    void add(const LinkEval& e) {
+      survive *= e.one_minus_loss;
+      oneway_ms += e.delay_ms;
+      oneway_ms += e.queue_ms;
+      residual_bps = std::min(residual_bps, e.residual_bps);
+    }
+    PathMetrics finish(double min_capacity_bps, int hop_count) const {
+      PathMetrics m;
+      m.capacity_bps = min_capacity_bps;
+      m.residual_bps = residual_bps;
+      m.loss = 1.0 - survive;
+      m.rtt_ms = 2.0 * oneway_ms;
+      m.hop_count = hop_count;
+      return m;
+    }
   };
 
   /// The (memoized) aggregates of an interned path. Thread-safe; entries
@@ -190,9 +229,12 @@ class FlowModel {
     return std::exp(rng.normal(0.0, params_.noise_sigma));
   }
 
+  /// The only place a link direction's LinkField is derived.
+  LinkField make_link_field(int link_id, bool forward) const;
   std::shared_ptr<const PathAggregates> build_aggregates(
       const topo::PathRef& path) const;
-  double field_utilization(const LinkField& f, sim::Time t) const;
+  /// eval_field of `f` at `t` through the per-thread field memo.
+  LinkEval memo_eval(const LinkField& f, sim::Time t) const;
 
   topo::Internet* topo_;
   std::uint64_t seed_;

@@ -7,8 +7,6 @@
 
 #include <immintrin.h>
 
-#include <cstring>
-
 #include "model/flow_model.h"
 #include "model/simd/kernels.h"
 
@@ -71,36 +69,14 @@ inline __m256d centered_lanes(__m256i stream, __m256i add, __m256i b) {
 
 }  // namespace
 
-void ar1_innovations_avx2(std::uint64_t stream, std::int64_t n, int horizon,
-                          double* innov) {
-  const __m256i vs = _mm256_set1_epi64x(static_cast<long long>(stream));
-  // hash_combine(a, b) mixes a ^ (b + C + (a<<6) + (a>>2)); fold the
-  // a-dependent terms into one per-field constant.
-  const __m256i add = _mm256_set1_epi64x(static_cast<long long>(
-      0x9e3779b97f4a7c15ull + (stream << 6) + (stream >> 2)));
-  const __m256i vn = _mm256_set1_epi64x(static_cast<long long>(n));
-  int j = 0;
-  for (; j + 4 <= horizon; j += 4) {
-    const __m256i b = _mm256_sub_epi64(
-        vn, _mm256_setr_epi64x(j, j + 1, j + 2, j + 3));
-    _mm256_storeu_pd(innov + j, centered_lanes(vs, add, b));
-  }
-  if (j < horizon) {
-    alignas(32) double tail[4];
-    const __m256i b = _mm256_sub_epi64(
-        vn, _mm256_setr_epi64x(j, j + 1, j + 2, j + 3));
-    _mm256_store_pd(tail, centered_lanes(vs, add, b));
-    std::memcpy(innov + j, tail, sizeof(double) * static_cast<std::size_t>(horizon - j));
-  }
-}
-
 void ar1_weighted_sums_avx2(int nf, const std::uint64_t* streams,
                             const std::int64_t* ns, const int* horizons,
                             const double* wt, int maxh, double* acc) {
   (void)horizons;  // maxh covers every lane; shorter lanes see zero weights
   const __m256i vs =
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(streams));
-  // hash_combine's a-dependent terms, per lane this time (four streams).
+  // hash_combine(a, b) mixes a ^ (b + C + (a<<6) + (a>>2)); fold the
+  // a-dependent terms into one constant per lane (four streams).
   const __m256i add = _mm256_add_epi64(
       _mm256_set1_epi64x(static_cast<long long>(0x9e3779b97f4a7c15ull)),
       _mm256_add_epi64(_mm256_slli_epi64(vs, 6), _mm256_srli_epi64(vs, 2)));

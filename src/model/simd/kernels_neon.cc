@@ -14,34 +14,6 @@
 
 namespace cronets::model::simd::detail {
 
-void ar1_innovations_neon(std::uint64_t stream, std::int64_t n, int horizon,
-                          double* innov) {
-  // hash_combine(a, b) mixes a ^ (b + C + (a<<6) + (a>>2)); the a-dependent
-  // terms fold into one per-field constant.
-  const std::uint64_t add =
-      0x9e3779b97f4a7c15ull + (stream << 6) + (stream >> 2);
-  const float64x2_t half = vdupq_n_f64(0.5);
-  const float64x2_t scale = vdupq_n_f64(0x1.0p-53);
-  const float64x2_t spread = vdupq_n_f64(3.4641016151377544);
-  int j = 0;
-  for (; j + 2 <= horizon; j += 2) {
-    const std::uint64_t b0 = static_cast<std::uint64_t>(n - j);
-    const std::uint64_t b1 = static_cast<std::uint64_t>(n - (j + 1));
-    const std::uint64_t k0 = sim::splitmix64(stream ^ (b0 + add));
-    const std::uint64_t k1 = sim::splitmix64(stream ^ (b1 + add));
-    const uint64x2_t bits = vcombine_u64(vcreate_u64(sim::splitmix64(k0) >> 11),
-                                         vcreate_u64(sim::splitmix64(k1) >> 11));
-    // vcvtq_f64_u64 is exact below 2^53, matching static_cast<double>.
-    const float64x2_t u01 =
-        vmulq_f64(vaddq_f64(vcvtq_f64_u64(bits), half), scale);
-    vst1q_f64(innov + j, vmulq_f64(vsubq_f64(u01, half), spread));
-  }
-  if (j < horizon) {
-    innov[j] = sim::hash_centered(
-        sim::hash_combine(stream, static_cast<std::uint64_t>(n - j)));
-  }
-}
-
 void ar1_weighted_sums_neon(int nf, const std::uint64_t* streams,
                             const std::int64_t* ns, const int* horizons,
                             const double* wt, int maxh, double* acc) {
@@ -51,6 +23,8 @@ void ar1_weighted_sums_neon(int nf, const std::uint64_t* streams,
   // A64); the weighted fold — the latency-bound part — runs per lane in
   // strict j order, so each lane reproduces the scalar fold bitwise (the
   // zero-padded terms add exact +/-0.0, a no-op; see dispatch.h).
+  // hash_combine(a, b) mixes a ^ (b + C + (a<<6) + (a>>2)); the
+  // a-dependent terms fold into one constant per lane.
   std::uint64_t add[4];
   for (int k = 0; k < 4; ++k) {
     add[k] = 0x9e3779b97f4a7c15ull + (streams[k] << 6) + (streams[k] >> 2);

@@ -7,11 +7,9 @@
 
 namespace cronets::model::simd::detail {
 
-// Portable reference kernels: the exact loops BatchSampler::sample_batch
-// and model::pftk_throughput_batch ran before the SIMD split. Every wider
-// level is pinned bitwise against these (tests/simd_test.cc and the
-// bench_micro "simd sample == scalar sample" row).
+namespace {
 
+// AR(1) innovation lanes of one field: innov[j] for j < horizon (<= 64).
 void ar1_innovations_scalar(std::uint64_t stream, std::int64_t n, int horizon,
                             double* innov) {
   std::uint64_t keys[64];
@@ -22,6 +20,14 @@ void ar1_innovations_scalar(std::uint64_t stream, std::int64_t n, int horizon,
     innov[j] = sim::hash_centered(keys[j]);
   }
 }
+
+}  // namespace
+
+// Portable reference kernels. Every wider level is pinned bitwise against
+// these (tests/simd_test.cc and the bench_micro "simd sample == scalar
+// sample" row). The grouped fold runs each field's weighted sum in the
+// same strict j order as FlowModel's scalar sampler, which is what keeps
+// BatchSampler bitwise equal to FlowModel::sample(PathRef).
 
 void ar1_weighted_sums_scalar(int nf, const std::uint64_t* streams,
                               const std::int64_t* ns, const int* horizons,

@@ -120,14 +120,14 @@ TEST(FlowModel, PathMetricsComposeAlongTraversals) {
   FlowModel fm(&topo, 80);
   const int c = topo.add_client(topo::Region::kEurope, "c");
   const int s = topo.add_server(topo::Region::kNaEast, "s");
-  const auto path = topo.path(s, c);
+  const topo::PathRef path = topo.cached_path(s, c);
   const PathMetrics m = fm.sample(path, Time::hours(1));
-  EXPECT_GT(m.rtt_ms, topo.base_rtt_ms(path) * 0.99);
-  EXPECT_LT(m.rtt_ms, topo.base_rtt_ms(path) + 80.0);
+  EXPECT_GT(m.rtt_ms, topo.base_rtt_ms(*path) * 0.99);
+  EXPECT_LT(m.rtt_ms, topo.base_rtt_ms(*path) + 80.0);
   EXPECT_GE(m.loss, 0.0);
   EXPECT_LT(m.loss, 0.6);
   EXPECT_LE(m.capacity_bps, 1e9 + 1);  // server access link caps it
-  EXPECT_EQ(m.hop_count, static_cast<int>(path.routers.size()));
+  EXPECT_EQ(m.hop_count, static_cast<int>(path->routers.size()));
 }
 
 TEST(FlowModel, ConcatAddsRttAndLoss) {
@@ -156,6 +156,32 @@ TEST(FlowModel, SplitBeatsPlainOnBalancedLossyLegs) {
   }
   // Mathis: same loss per leg at half the RTT -> at least ~1.9x.
   EXPECT_GT(split_sum, plain_sum * 1.8);
+}
+
+TEST(FlowModel, DiscreteDrawsLegTwoBeforeLegOne) {
+  // discrete()'s draw-order contract, which measure_batch replays: leg 2's
+  // draws first, then leg 1's. Leg 1 clips at its residual and takes an
+  // extra uniform draw, so the two orders give different results.
+  topo::Internet topo(small_params(), topo::CloudParams{});
+  FlowModel fm(&topo, 83);
+  const PathMetrics leg1{.rtt_ms = 20, .loss = 0.0, .residual_bps = 10e6,
+                         .capacity_bps = 1e9, .hop_count = 8};
+  const PathMetrics leg2{.rtt_ms = 100, .loss = 0.01, .residual_bps = 1e9,
+                         .capacity_bps = 1e9, .hop_count = 12};
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    sim::Rng rng(seed);
+    sim::Rng replay = rng;
+    const double got = fm.discrete(leg1, leg2, rng);
+    const double t2 = fm.tcp_throughput(leg2, replay);
+    const double t1 = fm.tcp_throughput(leg1, replay);
+    EXPECT_EQ(got, std::min(t1, t2));
+    EXPECT_EQ(rng.next_u64(), replay.next_u64());  // same number of draws
+
+    sim::Rng reversed(seed);
+    const double r1 = fm.tcp_throughput(leg1, reversed);
+    const double r2 = fm.tcp_throughput(leg2, reversed);
+    EXPECT_NE(got, std::min(r1, r2));
+  }
 }
 
 TEST(FlowModel, MptcpPredictors) {

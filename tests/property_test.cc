@@ -181,7 +181,7 @@ TEST_P(FlowModelInvariants, SamplesAreWellFormed) {
   model::FlowModel fm(&net, GetParam() ^ 0xabcdef);
   const int c = net.add_client(topo::Region::kEurope, "c");
   const int s = net.add_client(topo::Region::kNaEast, "s");
-  const auto path = net.path(s, c);
+  const topo::PathRef path = net.cached_path(s, c);
   for (int hour = 1; hour < 50; hour += 7) {
     const auto m = fm.sample(path, sim::Time::hours(hour));
     EXPECT_GE(m.loss, 0.0);
