@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 
@@ -423,37 +424,49 @@ int main(int argc, char** argv) {
 
   // --- scalar vs batched end-to-end measure() ----------------------------
   // Same pair sweep through measure() and measure_batch(). Both entry
-  // points pay the identical per-pair draw sequence (mt19937_64 seeding +
-  // lognormal noise), so this ratio is much smaller than the kernel one.
+  // points pay the identical per-pair noise draws (one sim::DrawStream per
+  // pair), so this ratio is smaller than the kernel one. Each rep times
+  // one timestamp's sweep through both entry points back to back, and
+  // measure_speedup is the median of the per-rep ratios: the CI gate
+  // floors it, and a median shrugs off the one descheduled rep a shared
+  // host inflicts now and then.
   std::vector<std::pair<int, int>> pairs;
   for (int s : servers)
     for (int c : clients) pairs.emplace_back(s, c);
   std::vector<core::PairSample> batched(pairs.size());
   const int kKernelReps = 10;
 
-  const auto scalar_t0 = clock::now();
+  double scalar_s = 0.0, batch_s = 0.0;
+  std::vector<double> rep_speedups(kKernelReps);
   for (int rep = 0; rep < kKernelReps; ++rep) {
     const sim::Time at = sim::Time::hours(2) + sim::Time::minutes(rep);
+    const auto scalar_t0 = clock::now();
     for (const auto& [s, c] : pairs) {
       kernel_sink += world.meter().measure(s, c, overlays, at).direct_bps;
     }
-  }
-  const double scalar_s = std::chrono::duration<double>(clock::now() - scalar_t0).count();
-
-  const auto batch_t0 = clock::now();
-  for (int rep = 0; rep < kKernelReps; ++rep) {
-    const sim::Time at = sim::Time::hours(2) + sim::Time::minutes(rep);
+    const auto batch_t0 = clock::now();
     world.meter().measure_batch(pairs.data(), pairs.size(), overlays, at,
                                 batched.data());
     kernel_sink += batched[0].direct_bps;
+    const auto batch_t1 = clock::now();
+    const double rep_scalar_s =
+        std::chrono::duration<double>(batch_t0 - scalar_t0).count();
+    const double rep_batch_s =
+        std::chrono::duration<double>(batch_t1 - batch_t0).count();
+    scalar_s += rep_scalar_s;
+    batch_s += rep_batch_s;
+    rep_speedups[rep] = rep_scalar_s / rep_batch_s;
   }
-  const double batch_s = std::chrono::duration<double>(clock::now() - batch_t0).count();
+  // kKernelReps is even: the median is the mean of the middle two.
+  std::sort(rep_speedups.begin(), rep_speedups.end());
+  const double median_speedup =
+      0.5 * (rep_speedups[kKernelReps / 2 - 1] + rep_speedups[kKernelReps / 2]);
   const double kernel_pairs = static_cast<double>(pairs.size()) * kKernelReps;
   run.add_extra("measure_scalar_pairs_per_s",
                 scalar_s > 0 ? kernel_pairs / scalar_s : 0.0);
   run.add_extra("measure_batch_pairs_per_s",
                 batch_s > 0 ? kernel_pairs / batch_s : 0.0);
-  run.add_extra("measure_speedup", batch_s > 0 ? scalar_s / batch_s : 0.0);
+  run.add_extra("measure_speedup", median_speedup);
 
   // Batched == scalar, bit for bit: every field of every PairSample, across
   // batch sizes (1, a ragged 13, all) and several timestamps.

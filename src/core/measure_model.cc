@@ -1,7 +1,6 @@
 #include "core/measure_model.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <unordered_map>
 
@@ -108,7 +107,8 @@ PairSample ModelMeasurement::measure(int src_ep, int dst_ep,
 
   // Private noise stream for this (pair, time): the draw sequence below is
   // fixed, so the sample is reproducible no matter where it runs.
-  sim::Rng rng(sim::pair_seed(seed_ ^ flow_->seed(), src_ep, dst_ep, t.ns()));
+  sim::DrawStream draws(
+      sim::pair_seed(seed_ ^ flow_->seed(), src_ep, dst_ep, t.ns()));
 
   // Interned paths + precomputed aggregates: the direct path and both legs
   // of every overlay candidate are looked up, never rebuilt, so the only
@@ -116,7 +116,7 @@ PairSample ModelMeasurement::measure(int src_ep, int dst_ep,
   const topo::PathRef direct = topo_->cached_path(src_ep, dst_ep);
   model::PathMetrics dm = flow_->sample(direct, t);
   dm.rwnd_bytes = static_cast<double>(topo_->endpoint(dst_ep).rcv_buf);
-  out.direct_bps = flow_->tcp_throughput(dm, rng);
+  out.direct_bps = flow_->tcp_throughput(dm, draws);
   out.direct_rtt_ms = dm.rtt_ms;
   out.direct_loss = dm.loss;
   out.direct_hops = dm.hop_count;
@@ -134,9 +134,9 @@ PairSample ModelMeasurement::measure(int src_ep, int dst_ep,
     m2.rwnd_bytes = static_cast<double>(topo_->endpoint(dst_ep).rcv_buf);
     OverlaySample s;
     s.overlay_ep = o;
-    s.plain_bps = flow_->overlay_plain(m1, m2, rng);
-    s.split_bps = flow_->overlay_split(m1, m2, rng, &s.leg1_bps, &s.leg2_bps);
-    s.discrete_bps = flow_->discrete(m1, m2, rng);
+    s.plain_bps = flow_->overlay_plain(m1, m2, draws);
+    s.split_bps = flow_->overlay_split(m1, m2, draws, &s.leg1_bps, &s.leg2_bps);
+    s.discrete_bps = flow_->discrete(m1, m2, draws);
     const model::PathMetrics combined = model::FlowModel::concat(m1, m2);
     s.rtt_ms = combined.rtt_ms;
     s.loss = combined.loss;
@@ -241,17 +241,7 @@ void ModelMeasurement::measure_batch(const ProbeRequest* reqs, std::size_t n,
 
   // Pass 3: the per-pair stochastic pass — draw-for-draw the sequence
   // measure() makes on its private (seed, src, dst, t) stream, applied to
-  // the precomputed PFTK values.
-  const double sigma = p.noise_sigma;
-  const auto finish_tcp = [&](double pftk, const model::PathMetrics& m,
-                              sim::Rng& rng) {
-    double v = pftk;
-    // When the flow saturates the residual capacity it also builds queue;
-    // throughput clips slightly below the residual rate.
-    const double cap = std::min(m.residual_bps, m.capacity_bps);
-    if (v > 0.92 * cap) v = cap * rng.uniform(0.88, 0.96);
-    return v * std::exp(rng.normal(0.0, sigma));
-  };
+  // the precomputed PFTK values through the same FlowModel::noisy_tcp.
   cursor = 0;
   std::size_t eval = 0, cc = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -259,9 +249,10 @@ void ModelMeasurement::measure_batch(const ProbeRequest* reqs, std::size_t n,
     PairSample& ps = out[i];
     ps.src = r.src;
     ps.dst = r.dst;
-    sim::Rng rng(sim::pair_seed(seed_ ^ flow_->seed(), r.src, r.dst, t.ns()));
+    sim::DrawStream draws(
+        sim::pair_seed(seed_ ^ flow_->seed(), r.src, r.dst, t.ns()));
     const model::PathMetrics& dm = S.metrics[cursor++];
-    ps.direct_bps = finish_tcp(S.pftk_bps[eval++], dm, rng);
+    ps.direct_bps = flow_->noisy_tcp(S.pftk_bps[eval++], dm, draws);
     ps.direct_rtt_ms = dm.rtt_ms;
     ps.direct_loss = dm.loss;
     ps.direct_hops = dm.hop_count;
@@ -275,15 +266,15 @@ void ModelMeasurement::measure_batch(const ProbeRequest* reqs, std::size_t n,
       const double pftk_2 = S.pftk_bps[eval++];
       OverlaySample s;
       s.overlay_ep = o;
-      s.plain_bps = finish_tcp(pftk_cm, cm, rng);
-      const double t1 = finish_tcp(pftk_1, m1, rng);
-      const double t2 = finish_tcp(pftk_2, m2, rng);
+      s.plain_bps = flow_->noisy_tcp(pftk_cm, cm, draws);
+      const double t1 = flow_->noisy_tcp(pftk_1, m1, draws);
+      const double t2 = flow_->noisy_tcp(pftk_2, m2, draws);
       s.leg1_bps = t1;
       s.leg2_bps = t2;
       s.split_bps = 0.97 * std::min(t1, t2);
       // FlowModel::discrete's draw-order contract: leg 2, then leg 1.
-      const double d2 = finish_tcp(pftk_2, m2, rng);
-      const double d1 = finish_tcp(pftk_1, m1, rng);
+      const double d2 = flow_->noisy_tcp(pftk_2, m2, draws);
+      const double d1 = flow_->noisy_tcp(pftk_1, m1, draws);
       s.discrete_bps = std::min(d1, d2);
       s.rtt_ms = cm.rtt_ms;
       s.loss = cm.loss;

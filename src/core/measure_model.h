@@ -60,12 +60,15 @@ int probe_batch_size();
 /// the calibrated flow model over the same generated Internet the packet
 /// simulator uses.
 ///
-/// Every measurement draws its noise from a private stream seeded by
-/// (seed, src, dst, t), so a pair's result depends only on those four
-/// values — never on how many other pairs were measured before it, in what
-/// order, or on which thread. This is what lets the experiment loops fan
-/// pairs out across a thread pool and still produce bitwise-identical
-/// results at any thread count.
+/// Every measurement draws its noise from a private counter-based
+/// sim::DrawStream keyed by sim::pair_seed(seed, src, dst, t), so a pair's
+/// result depends only on those four values — never on how many other
+/// pairs were measured before it, in what order, or on which thread. This
+/// is what lets the experiment loops fan pairs out across a thread pool and
+/// still produce bitwise-identical results at any thread count. The stream
+/// is two words, so the per-pair noise costs only its draws: one
+/// FlowModel::noisy_tcp step (a normal, plus a uniform when the rate
+/// clips) per TCP prediction.
 class ModelMeasurement {
  public:
   ModelMeasurement(topo::Internet* topo, model::FlowModel* flow,

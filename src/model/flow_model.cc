@@ -234,62 +234,70 @@ PathMetrics FlowModel::concat(const PathMetrics& a, const PathMetrics& b) {
   return m;
 }
 
-double FlowModel::tcp_throughput(const PathMetrics& m, sim::Rng& rng) const {
-  TcpModelParams p = params_;
-  if (m.rwnd_bytes > 0) p.rwnd_bytes = m.rwnd_bytes;
-  double t = pftk_throughput_bps(m.rtt_ms, m.loss, m.residual_bps, m.capacity_bps, p);
+double FlowModel::noisy_tcp(double pftk_bps, const PathMetrics& m,
+                            sim::DrawStream& draws) const {
+  double t = pftk_bps;
   // When the flow saturates the residual capacity it also builds queue;
   // throughput clips slightly below the residual rate.
   const double cap = std::min(m.residual_bps, m.capacity_bps);
-  if (t > 0.92 * cap) t = cap * rng.uniform(0.88, 0.96);
-  return t * noise(rng);
+  if (t > 0.92 * cap) t = cap * draws.uniform(0.88, 0.96);
+  return t * std::exp(draws.normal(0.0, params_.noise_sigma));
+}
+
+double FlowModel::tcp_throughput(const PathMetrics& m,
+                                 sim::DrawStream& draws) const {
+  TcpModelParams p = params_;
+  if (m.rwnd_bytes > 0) p.rwnd_bytes = m.rwnd_bytes;
+  return noisy_tcp(
+      pftk_throughput_bps(m.rtt_ms, m.loss, m.residual_bps, m.capacity_bps, p),
+      m, draws);
 }
 
 double FlowModel::overlay_plain(const PathMetrics& leg1, const PathMetrics& leg2,
-                                sim::Rng& rng) const {
-  return tcp_throughput(concat(leg1, leg2), rng);
+                                sim::DrawStream& draws) const {
+  return tcp_throughput(concat(leg1, leg2), draws);
 }
 
 double FlowModel::overlay_split(const PathMetrics& leg1, const PathMetrics& leg2,
-                                sim::Rng& rng) const {
-  return overlay_split(leg1, leg2, rng, nullptr, nullptr);
+                                sim::DrawStream& draws) const {
+  return overlay_split(leg1, leg2, draws, nullptr, nullptr);
 }
 
 double FlowModel::overlay_split(const PathMetrics& leg1, const PathMetrics& leg2,
-                                sim::Rng& rng, double* leg1_bps,
+                                sim::DrawStream& draws, double* leg1_bps,
                                 double* leg2_bps) const {
   // Each leg runs its own TCP; the proxy relays with ample buffer. A small
   // efficiency haircut models the proxy's buffer coupling.
-  const double t1 = tcp_throughput(leg1, rng);
-  const double t2 = tcp_throughput(leg2, rng);
+  const double t1 = tcp_throughput(leg1, draws);
+  const double t2 = tcp_throughput(leg2, draws);
   if (leg1_bps != nullptr) *leg1_bps = t1;
   if (leg2_bps != nullptr) *leg2_bps = t2;
   return 0.97 * std::min(t1, t2);
 }
 
 double FlowModel::discrete(const PathMetrics& leg1, const PathMetrics& leg2,
-                           sim::Rng& rng) const {
+                           sim::DrawStream& draws) const {
   // Draw-order contract: leg 2's draws come first, then leg 1's.
   // ModelMeasurement::measure_batch replays this sequence.
-  const double t2 = tcp_throughput(leg2, rng);
-  const double t1 = tcp_throughput(leg1, rng);
+  const double t2 = tcp_throughput(leg2, draws);
+  const double t1 = tcp_throughput(leg1, draws);
   return std::min(t1, t2);
 }
 
 double FlowModel::mptcp_coupled(const std::vector<double>& per_path_tput,
-                                sim::Rng& rng) const {
+                                sim::DrawStream& draws) const {
   double best = 0.0;
   for (double t : per_path_tput) best = std::max(best, t);
   // OLIA converges to (roughly) the best path; small shortfall/overshoot
   // from probing the other subflows.
-  return best * rng.uniform(0.92, 1.04);
+  return best * draws.uniform(0.92, 1.04);
 }
 
 double FlowModel::mptcp_uncoupled(const std::vector<double>& per_path_tput,
-                                  double nic_bps, sim::Rng& rng) const {
+                                  double nic_bps, sim::DrawStream& draws) const {
   double sum = 0.0;
   for (double t : per_path_tput) sum += t;
-  return std::min(sum * rng.uniform(0.95, 1.0), nic_bps * 0.97);
+  return std::min(sum * draws.uniform(0.95, 1.0), nic_bps * 0.97);
 }
 
 }  // namespace cronets::model

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "model/simd/dispatch.h"
-#include "sim/rng.h"
+#include "sim/hash_rng.h"
 #include "sim/time.h"
 #include "topo/internet.h"
 
@@ -81,9 +81,10 @@ void pftk_throughput_batch(simd::Level level, std::size_t n,
 /// a per-thread field memo) — the utilization at (link, direction, t) is a
 /// pure function of the model seed, so concurrent measurements see one
 /// consistent world regardless of query order or thread count. The
-/// throughput predictors draw measurement noise: pass an explicit `Rng`
-/// (e.g. a per-pair stream) from parallel code; the overloads without one
-/// use the model's own serial stream and are NOT thread-safe.
+/// throughput predictors draw measurement noise: pass an explicit
+/// `sim::DrawStream` (e.g. a per-pair stream) from parallel code; the
+/// overloads without one use the model's own serial stream and are NOT
+/// thread-safe.
 namespace detail {
 /// Process-unique tag per FlowModel instance; keys the per-thread
 /// field-value memo so models over different topologies never alias.
@@ -93,7 +94,7 @@ std::uint64_t next_flow_model_tag();
 class FlowModel {
  public:
   FlowModel(topo::Internet* topo, std::uint64_t seed)
-      : topo_(topo), seed_(seed), rng_(seed) {}
+      : topo_(topo), seed_(seed), draws_(seed) {}
 
   /// Utilization of one link direction at time `t` (stationary AR(1)
   /// random field, with diurnal component and scheduled transient events
@@ -177,42 +178,51 @@ class FlowModel {
   std::shared_ptr<const PathAggregates> aggregates(const topo::PathRef& path) const;
 
   // --- Throughput predictors (bit/s), with measurement noise ---
-  double tcp_throughput(const PathMetrics& m, sim::Rng& rng) const;
+  /// The noisy-TCP step, written once for every measurement path: a rate
+  /// above 0.92 of the path's bottleneck (a flow saturating the residual
+  /// also builds queue) clips to cap * U(0.88, 0.96), then the result is
+  /// multiplied by exp(N(0, noise_sigma)). `pftk_bps` is the deterministic
+  /// PFTK rate of `m` (the batched paths compute it in one flat loop).
+  double noisy_tcp(double pftk_bps, const PathMetrics& m,
+                   sim::DrawStream& draws) const;
+  double tcp_throughput(const PathMetrics& m, sim::DrawStream& draws) const;
   /// Plain tunnel overlay: a single TCP connection over the whole A->O->B.
   double overlay_plain(const PathMetrics& leg1, const PathMetrics& leg2,
-                       sim::Rng& rng) const;
+                       sim::DrawStream& draws) const;
   /// Split-TCP at the overlay node: min of the two legs' own TCP rates.
   double overlay_split(const PathMetrics& leg1, const PathMetrics& leg2,
-                       sim::Rng& rng) const;
+                       sim::DrawStream& draws) const;
   /// Same draws, same result, but also exposes the two per-leg TCP rates
   /// (either out pointer may be null). The multi-hop ranker reuses a
   /// one-hop probe's leg rates to score k-hop compositions without any
   /// extra measurement draws.
   double overlay_split(const PathMetrics& leg1, const PathMetrics& leg2,
-                       sim::Rng& rng, double* leg1_bps, double* leg2_bps) const;
+                       sim::DrawStream& draws, double* leg1_bps,
+                       double* leg2_bps) const;
   /// Discrete bound: min of independently measured legs (no tunnel cost).
   double discrete(const PathMetrics& leg1, const PathMetrics& leg2,
-                  sim::Rng& rng) const;
+                  sim::DrawStream& draws) const;
   /// Coupled MPTCP (OLIA/LIA): ~ the best single path.
-  double mptcp_coupled(const std::vector<double>& per_path_tput, sim::Rng& rng) const;
+  double mptcp_coupled(const std::vector<double>& per_path_tput,
+                       sim::DrawStream& draws) const;
   /// Uncoupled MPTCP: ~ sum of subflows, capped by the NIC.
   double mptcp_uncoupled(const std::vector<double>& per_path_tput, double nic_bps,
-                         sim::Rng& rng) const;
+                         sim::DrawStream& draws) const;
 
   // Serial conveniences drawing from the model's own stream (single-thread).
-  double tcp_throughput(const PathMetrics& m) { return tcp_throughput(m, rng_); }
+  double tcp_throughput(const PathMetrics& m) { return tcp_throughput(m, draws_); }
   double overlay_plain(const PathMetrics& l1, const PathMetrics& l2) {
-    return overlay_plain(l1, l2, rng_);
+    return overlay_plain(l1, l2, draws_);
   }
   double overlay_split(const PathMetrics& l1, const PathMetrics& l2) {
-    return overlay_split(l1, l2, rng_);
+    return overlay_split(l1, l2, draws_);
   }
   double discrete(const PathMetrics& l1, const PathMetrics& l2) {
-    return discrete(l1, l2, rng_);
+    return discrete(l1, l2, draws_);
   }
-  double mptcp_coupled(const std::vector<double>& t) { return mptcp_coupled(t, rng_); }
+  double mptcp_coupled(const std::vector<double>& t) { return mptcp_coupled(t, draws_); }
   double mptcp_uncoupled(const std::vector<double>& t, double nic_bps) {
-    return mptcp_uncoupled(t, nic_bps, rng_);
+    return mptcp_uncoupled(t, nic_bps, draws_);
   }
 
   std::uint64_t seed() const { return seed_; }
@@ -225,10 +235,6 @@ class FlowModel {
   TcpModelParams& params() { return params_; }
 
  private:
-  double noise(sim::Rng& rng) const {
-    return std::exp(rng.normal(0.0, params_.noise_sigma));
-  }
-
   /// The only place a link direction's LinkField is derived.
   LinkField make_link_field(int link_id, bool forward) const;
   std::shared_ptr<const PathAggregates> build_aggregates(
@@ -239,7 +245,7 @@ class FlowModel {
   topo::Internet* topo_;
   std::uint64_t seed_;
   std::uint64_t model_tag_ = detail::next_flow_model_tag();
-  sim::Rng rng_;  ///< serial stream backing the legacy overloads only
+  sim::DrawStream draws_;  ///< serial stream backing the legacy overloads only
   TcpModelParams params_;
 
   // Per-path aggregate memo, keyed on the interned path's address (the

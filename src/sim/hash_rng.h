@@ -23,7 +23,8 @@ inline std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) {
   return splitmix64(a ^ (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2)));
 }
 
-/// Uniform double in (0, 1) from a key (never exactly 0 or 1).
+/// Uniform double in (0, 1] from a key (never 0; exactly 1 only when the
+/// 53-bit mantissa rounds up, with probability 2^-53).
 inline double hash_u01(std::uint64_t key) {
   return (static_cast<double>(splitmix64(key) >> 11) + 0.5) * 0x1.0p-53;
 }
@@ -36,14 +37,6 @@ inline double hash_centered(std::uint64_t key) {
   return (hash_u01(key) - 0.5) * 3.4641016151377544;  // 2*sqrt(3)
 }
 
-/// Standard normal from a key (Box-Muller; two decorrelated sub-draws).
-inline double hash_normal(std::uint64_t key) {
-  const double u1 = hash_u01(key);
-  const double u2 = hash_u01(key ^ 0x5851f42d4c957f2dull);
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(6.28318530717958647692 * u2);
-}
-
 /// Canonical packed (src, dst) endpoint-pair key: the 64-bit id every
 /// per-pair table keys on (ranker indices, batch plans, shard hashing,
 /// route tables). Feed through splitmix64 when a uniform hash of the pair
@@ -53,15 +46,55 @@ inline std::uint64_t pack_pair(int src, int dst) {
          static_cast<std::uint32_t>(dst);
 }
 
-/// Seed of the measurement-noise stream for one (src, dst, time) pair.
-/// Every stochastic draw inside one pair measurement comes from an `Rng`
-/// seeded with this, which is what makes results independent of the order
-/// (and thread) in which pairs are measured.
+/// Key of the measurement-noise stream for one (src, dst, time) pair.
+/// Every stochastic draw inside one pair measurement comes from a
+/// `DrawStream` keyed with this, which is what makes results independent
+/// of the order (and thread) in which pairs are measured.
 inline std::uint64_t pair_seed(std::uint64_t world_seed, int src, int dst,
                                std::int64_t t_ns) {
   std::uint64_t h = hash_combine(world_seed, static_cast<std::uint64_t>(src));
   h = hash_combine(h, static_cast<std::uint64_t>(dst));
   return hash_combine(h, static_cast<std::uint64_t>(t_ns));
 }
+
+/// Counter-based draw stream (Salmon et al., "Parallel Random Numbers: As
+/// Easy as 1, 2, 3", SC'11): draw i is splitmix64(key + kGamma * i). The
+/// state is two words, so a stream costs nothing to construct — one per
+/// (pair, time) measurement, where a sequential engine would be seeded
+/// from scratch. kGamma is odd, so distinct counters of one key never
+/// share an input; every draw, including each half of a Box-Muller pair,
+/// consumes counters of its own. Only scalar libm is used, so the bits are
+/// the same at every CRONETS_SIMD level and thread count.
+class DrawStream {
+ public:
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ull;
+
+  explicit DrawStream(std::uint64_t key) : key_(key) {}
+
+  /// Uniform double in [lo, hi); consumes one counter.
+  double uniform(double lo, double hi) {
+    const double u =
+        static_cast<double>(splitmix64(next_key()) >> 11) * 0x1.0p-53;
+    const double v = lo + (hi - lo) * u;
+    return v < hi ? v : std::nextafter(hi, lo);  // rounding never reaches hi
+  }
+
+  /// Normal draw (Box-Muller, cosine branch); consumes two counters.
+  double normal(double mean, double sd) {
+    const double u1 = hash_u01(next_key());
+    const double u2 = hash_u01(next_key());
+    return mean + sd * (std::sqrt(-2.0 * std::log(u1)) *
+                        std::cos(6.28318530717958647692 * u2));
+  }
+
+  /// Number of counters consumed so far.
+  std::uint64_t counter() const { return counter_; }
+
+ private:
+  std::uint64_t next_key() { return key_ + kGamma * counter_++; }
+
+  std::uint64_t key_;
+  std::uint64_t counter_ = 0;
+};
 
 }  // namespace cronets::sim

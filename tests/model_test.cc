@@ -168,16 +168,17 @@ TEST(FlowModel, DiscreteDrawsLegTwoBeforeLegOne) {
                          .capacity_bps = 1e9, .hop_count = 8};
   const PathMetrics leg2{.rtt_ms = 100, .loss = 0.01, .residual_bps = 1e9,
                          .capacity_bps = 1e9, .hop_count = 12};
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    sim::Rng rng(seed);
-    sim::Rng replay = rng;
-    const double got = fm.discrete(leg1, leg2, rng);
+  for (const std::uint64_t key : {1u, 2u, 3u}) {
+    sim::DrawStream draws(key);
+    sim::DrawStream replay = draws;
+    const double got = fm.discrete(leg1, leg2, draws);
     const double t2 = fm.tcp_throughput(leg2, replay);
     const double t1 = fm.tcp_throughput(leg1, replay);
     EXPECT_EQ(got, std::min(t1, t2));
-    EXPECT_EQ(rng.next_u64(), replay.next_u64());  // same number of draws
+    EXPECT_EQ(draws.counter(), replay.counter());  // same number of draws
+    EXPECT_EQ(draws.counter(), 5u);  // leg 1: uniform + normal; leg 2: normal
 
-    sim::Rng reversed(seed);
+    sim::DrawStream reversed(key);
     const double r1 = fm.tcp_throughput(leg1, reversed);
     const double r2 = fm.tcp_throughput(leg2, reversed);
     EXPECT_NE(got, std::min(r1, r2));

@@ -14,7 +14,10 @@ bench_results/<name>.json from the current run:
       baseline (the decision fingerprint is seed-pure and shard/thread
       invariant, so any drift is a real behaviour change — if the change
       is intentional, regenerate the baseline in the same commit);
-    - missing result files, unparseable JSON, or missing required fields.
+    - missing result files, unparseable JSON, or missing required fields;
+    - a machine-relative ratio in `extra` (see RATIO_FLOORS) below its
+      floor, or missing. These are speedups of one code path over another
+      measured in the same process, so host speed cancels out.
 
   WARN ONLY (::warning:: annotation, exit 0) on performance drift:
     - pairs_per_s dropping more than 20% below the baseline (shared CI
@@ -25,7 +28,8 @@ bench_results/<name>.json from the current run:
       contract).
 
 --self-test proves the gate can fail: it perturbs a copy of each baseline
-fingerprint and asserts the comparison reports a hard failure, then exits.
+fingerprint, and drops each ratio floor's extra just below its floor, and
+asserts the comparison reports a hard failure for every perturbation.
 """
 
 import argparse
@@ -37,6 +41,17 @@ import sys
 REQUIRED_FIELDS = ("bench", "seed", "threads", "wall_s", "pairs",
                    "pairs_per_s", "checks")
 THROUGHPUT_DROP_WARN = 0.20
+
+# Hard floors on machine-relative ratios: {baseline name: {extra: floor}}.
+# measure_speedup is end-to-end measure_batch() over scalar measure() on
+# bench_micro's fixed sweep (median of per-timestamp ratios). On a shared
+# 4-vCPU VM, 33 runs (RelWithDebInfo, Release, and three at a time) gave
+# 2.46-3.06 with counter-based per-pair noise, against 1.63-1.88 with the
+# per-pair mt19937_64 it replaced. The floor sits under every run and
+# above the old range, so a returning per-pair draw floor fails the gate.
+RATIO_FLOORS = {
+    "smoke_bench_micro": {"measure_speedup": 2.1},
+}
 
 
 def load(path):
@@ -85,6 +100,15 @@ def compare(name, baseline, current):
             warnings.append(
                 f"{name}: seed-pure row drifted: {metric!r} "
                 f"{base_val} -> {cur_val}")
+
+    extra = current.get("extra", {})
+    for key, floor in RATIO_FLOORS.get(name, {}).items():
+        if key not in extra:
+            errors.append(f"{name}: extra.{key} missing (hard ratio floor "
+                          f"{floor})")
+        elif not extra[key] >= floor:
+            errors.append(f"{name}: extra.{key} = {extra[key]:.3f} below "
+                          f"its hard floor {floor}")
 
     base_tput = baseline.get("pairs_per_s", 0.0)
     cur_tput = current.get("pairs_per_s", 0.0)
@@ -155,6 +179,24 @@ def self_test(baseline_dir):
             print(f"self-test FAILED: perturbed fingerprint in {fname} "
                   "slipped through")
             failures += 1
+    for name, floors in RATIO_FLOORS.items():
+        path = os.path.join(baseline_dir, name + ".json")
+        if not os.path.exists(path):
+            print(f"self-test FAILED: ratio floor on missing baseline {name}")
+            failures += 1
+            continue
+        baseline = load(path)
+        for key, floor in floors.items():
+            slow = copy.deepcopy(baseline)
+            slow.setdefault("extra", {})[key] = floor * 0.99
+            errors, _ = compare(name, baseline, slow)
+            if any(f"extra.{key}" in e for e in errors):
+                print(f"self-test OK: {name} extra.{key} below its floor "
+                      "was caught")
+            else:
+                print(f"self-test FAILED: {name} extra.{key} below its "
+                      "floor slipped through")
+                failures += 1
     return 1 if failures else 0
 
 
@@ -163,7 +205,8 @@ def main():
     ap.add_argument("--baseline-dir", default="bench/baselines")
     ap.add_argument("--results-dir", default="bench_results")
     ap.add_argument("--self-test", action="store_true",
-                    help="verify the gate fails on a perturbed fingerprint")
+                    help="verify the gate fails on a perturbed fingerprint "
+                    "and on a ratio below its floor")
     args = ap.parse_args()
 
     if args.self_test:
