@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
+#include <shared_mutex>
 #include <unordered_map>
 
 #include "model/batch_sampler.h"
@@ -12,29 +14,67 @@ namespace cronets::core {
 
 namespace {
 
-// One pair's resolved probe layout, cached across measure_batch calls: the
-// interned path handles (direct, then leg1/leg2 per eligible overlay) and
-// the receiver-window override for each sampled path. Warm pairs skip the
-// path-cache lookups, sampler interning, and endpoint resolution entirely —
-// a steady-state probe sweep re-measures the same pairs every tick, so this
-// turns the per-pair setup into a single hash probe.
+// One pair's resolved probe layout: the interned handle of the direct path
+// and, per overlay the pair was ever measured against, both legs' handles
+// and the receiver window of leg 1 (leg 2 and the direct path end at the
+// destination). A steady-state probe sweep re-measures the same pairs
+// every tick, so a warm pair costs one hash probe — no path-cache lookups,
+// no interning, no endpoint resolution. Legs are only ever appended, so
+// two callers measuring one pair against different overlay sets never
+// undo each other's plan.
 struct PairPlan {
-  std::vector<int> overlays;   ///< the overlay set the plan was built for
-  std::vector<int> eligible;   ///< overlays minus the pair's own endpoints
-  std::vector<int> handles;    ///< direct, then per eligible: leg1, leg2
-  std::vector<double> rwnd;    ///< per handle: receiver window (bytes)
+  struct Leg {
+    int overlay;
+    int leg1;
+    int leg2;
+    double overlay_rwnd;
+  };
+  int direct = -1;
+  double dst_rwnd = 0.0;
+  std::vector<Leg> legs;
+
+  /// The leg through `overlay`; `hint` is its position when the overlay
+  /// set is the one the plan was built from (the common case).
+  const Leg* find(int overlay, std::size_t hint) const {
+    if (hint < legs.size() && legs[hint].overlay == overlay) return &legs[hint];
+    for (const Leg& l : legs) {
+      if (l.overlay == overlay) return &l;
+    }
+    return nullptr;
+  }
 };
 
-// Per-thread batched-measurement state: the SoA sampler plus every scratch
-// array a batch needs, reused across calls so warm batches allocate
-// nothing. Keyed by the flow model's process-unique instance tag — a
-// different model (even one reallocated at the same address) rebuilds.
-struct BatchScratch {
+}  // namespace
+
+// The shared measurement plan of one meter (see measure_batch). `sampler`
+// is null until the first batch; `flow_tag` and `epoch` are the FlowModel
+// instance and topology mutation epoch the contents were built for.
+struct ModelMeasurement::PlanStore {
+  std::shared_mutex mu;
   std::uint64_t flow_tag = 0;
+  std::uint64_t epoch = 0;
   std::unique_ptr<model::BatchSampler> sampler;
   std::unordered_map<std::uint64_t, PairPlan> plans;  ///< key: (src, dst)
-  std::vector<const PairPlan*> batch_plans;           ///< per request
-  std::vector<int> handles;
+
+  bool current(const model::FlowModel& flow, const topo::Internet& topo) const {
+    return sampler && flow_tag == flow.instance_tag() &&
+           epoch == topo.mutation_epoch();
+  }
+};
+
+// Per-thread batched-measurement scratch, reused across calls (and across
+// meters) so warm batches allocate nothing.
+struct ModelMeasurement::BatchScratch {
+  model::BatchSampler::Scratch sampler;
+  std::vector<std::size_t> missing;  ///< requests without a complete plan
+  /// The missing requests' paths (direct, then per eligible overlay leg 1,
+  /// leg 2) and, for those the store had not interned, their aggregates.
+  std::vector<topo::PathRef> paths;
+  std::vector<std::shared_ptr<const model::FlowModel::PathAggregates>> aggs;
+  std::vector<int> handles;       ///< direct, then per eligible: leg1, leg2
+  std::vector<double> rwnd;       ///< per handle: receiver window (bytes)
+  std::vector<int> eligible;      ///< per request: overlays minus src/dst
+  std::vector<std::size_t> n_eligible;  ///< per request
   std::vector<model::PathMetrics> metrics;  ///< per handle, rwnd filled in
   std::vector<model::PathMetrics> concat;   ///< per overlay candidate
   // PFTK evaluation table (direct, then per overlay: concat, leg1, leg2).
@@ -43,12 +83,16 @@ struct BatchScratch {
   std::vector<ProbeRequest> reqs;  ///< backing for the pairs overload
 };
 
-BatchScratch& batch_scratch() {
+ModelMeasurement::BatchScratch& ModelMeasurement::batch_scratch() {
   thread_local BatchScratch scratch;
   return scratch;
 }
 
-}  // namespace
+ModelMeasurement::ModelMeasurement(topo::Internet* topo,
+                                   model::FlowModel* flow, std::uint64_t seed)
+    : topo_(topo), flow_(flow), seed_(seed), store_(std::make_unique<PlanStore>()) {}
+
+ModelMeasurement::~ModelMeasurement() = default;
 
 int probe_batch_size() {
   static const int cached =
@@ -145,61 +189,148 @@ PairSample ModelMeasurement::measure(int src_ep, int dst_ep,
   return out;
 }
 
+bool ModelMeasurement::gather(const ProbeRequest* reqs, std::size_t n,
+                              BatchScratch& S) const {
+  S.missing.clear();
+  S.handles.clear();
+  S.rwnd.clear();
+  S.eligible.clear();
+  S.n_eligible.clear();
+  const PlanStore& store = *store_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const ProbeRequest& r = reqs[i];
+    const auto it = store.plans.find(sim::pack_pair(r.src, r.dst));
+    if (it == store.plans.end()) {
+      S.missing.push_back(i);
+      continue;
+    }
+    const PairPlan& plan = it->second;
+    S.handles.push_back(plan.direct);
+    S.rwnd.push_back(plan.dst_rwnd);
+    std::size_t ne = 0;
+    for (int o : *r.overlays) {
+      if (o == r.src || o == r.dst) continue;
+      const PairPlan::Leg* leg = plan.find(o, ne++);
+      if (leg == nullptr) {
+        S.missing.push_back(i);
+        break;
+      }
+      // Split-TCP legs terminate at their own receivers: the overlay VM
+      // for leg 1, the final destination for leg 2.
+      S.handles.push_back(leg->leg1);
+      S.handles.push_back(leg->leg2);
+      S.rwnd.push_back(leg->overlay_rwnd);
+      S.rwnd.push_back(plan.dst_rwnd);
+      S.eligible.push_back(o);
+    }
+    S.n_eligible.push_back(ne);
+  }
+  return S.missing.empty();
+}
+
+void ModelMeasurement::plan_missing(const ProbeRequest* reqs,
+                                    BatchScratch& S) const {
+  PlanStore& store = *store_;
+  // Path-cache lookups and aggregate builds are thread-safe and are the
+  // costly part of planning, so they run under the shared lock only (other
+  // threads keep measuring meanwhile), and only paths the store lacks
+  // fetch their aggregates.
+  S.paths.clear();
+  S.aggs.clear();
+  {
+    std::shared_lock<std::shared_mutex> lock(store.mu);
+    const bool current = store.current(*flow_, *topo_);
+    const auto resolve = [&](int a, int b) {
+      topo::PathRef path = topo_->cached_path(a, b);
+      S.aggs.push_back(current && store.sampler->find(path) >= 0
+                           ? nullptr
+                           : flow_->aggregates(path));
+      S.paths.push_back(std::move(path));
+    };
+    for (const std::size_t i : S.missing) {
+      const ProbeRequest& r = reqs[i];
+      resolve(r.src, r.dst);
+      for (int o : *r.overlays) {
+        if (o == r.src || o == r.dst) continue;
+        resolve(r.src, o);
+        resolve(o, r.dst);
+      }
+    }
+  }
+
+  std::unique_lock<std::shared_mutex> lock(store.mu);
+  if (!store.current(*flow_, *topo_)) {
+    // Topology mutated or a new model: every interned handle is invalid.
+    // A mutation resets the sampler in place, keeping its capacity.
+    if (!store.sampler || store.flow_tag != flow_->instance_tag()) {
+      store.sampler = std::make_unique<model::BatchSampler>(flow_);
+      store.flow_tag = flow_->instance_tag();
+    }
+    store.sampler->begin_batch();
+    store.epoch = topo_->mutation_epoch();
+    store.plans.clear();
+  }
+  model::BatchSampler& sampler = *store.sampler;
+  const auto intern = [&](std::size_t k) {
+    return S.aggs[k] ? sampler.intern(std::move(S.aggs[k]))
+                     : sampler.intern(S.paths[k]);
+  };
+  std::size_t c = 0;
+  for (const std::size_t i : S.missing) {
+    const ProbeRequest& r = reqs[i];
+    PairPlan& plan = store.plans[sim::pack_pair(r.src, r.dst)];
+    if (plan.direct < 0) {
+      plan.direct = intern(c);
+      plan.dst_rwnd = static_cast<double>(topo_->endpoint(r.dst).rcv_buf);
+    }
+    ++c;
+    std::size_t ne = 0;
+    for (int o : *r.overlays) {
+      if (o == r.src || o == r.dst) continue;
+      if (plan.find(o, ne++) == nullptr) {
+        plan.legs.push_back(PairPlan::Leg{
+            o, intern(c), intern(c + 1),
+            static_cast<double>(topo_->endpoint(o).rcv_buf)});
+      }
+      c += 2;
+    }
+  }
+  // Do not pin paths or aggregates past this epoch.
+  S.paths.clear();
+  S.aggs.clear();
+}
+
 void ModelMeasurement::measure_batch(const ProbeRequest* reqs, std::size_t n,
                                      sim::Time t, PairSample* out) const {
   if (n == 0) return;
   BatchScratch& S = batch_scratch();
-  if (!S.sampler || S.flow_tag != flow_->instance_tag()) {
-    S.sampler = std::make_unique<model::BatchSampler>(flow_);
-    S.flow_tag = flow_->instance_tag();
-    S.plans.clear();
-  }
-  if (S.sampler->begin_batch()) {
-    S.plans.clear();  // topology mutated: every interned handle is invalid
-  }
+  PlanStore& store = *store_;
 
-  // Pass 1: resolve each request to its cached PairPlan (path handles +
-  // receiver windows), building the plan on first sight of the pair. A
-  // steady-state sweep re-probes the same pairs tick after tick, so the
-  // warm path is one hash probe per pair — no path-cache lookups, no
-  // interning, no endpoint resolution.
-  S.batch_plans.clear();
-  S.handles.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const ProbeRequest& r = reqs[i];
-    PairPlan& plan = S.plans[sim::pack_pair(r.src, r.dst)];
-    // A different overlay set for the same pair (rare: distinct call sites)
-    // rebuilds in place.
-    if (plan.handles.empty() || plan.overlays != *r.overlays) {
-      plan.overlays = *r.overlays;
-      plan.eligible.clear();
-      plan.handles.clear();
-      plan.rwnd.clear();
-      const double dst_rwnd = static_cast<double>(topo_->endpoint(r.dst).rcv_buf);
-      plan.handles.push_back(S.sampler->intern(topo_->cached_path(r.src, r.dst)));
-      plan.rwnd.push_back(dst_rwnd);
-      for (int o : *r.overlays) {
-        if (o == r.src || o == r.dst) continue;
-        plan.eligible.push_back(o);
-        // Split-TCP legs terminate at their own receivers: the overlay VM
-        // for leg 1, the final destination for leg 2.
-        plan.handles.push_back(S.sampler->intern(topo_->cached_path(r.src, o)));
-        plan.rwnd.push_back(static_cast<double>(topo_->endpoint(o).rcv_buf));
-        plan.handles.push_back(S.sampler->intern(topo_->cached_path(o, r.dst)));
-        plan.rwnd.push_back(dst_rwnd);
+  // Pass 1 and the sampling kernel, under the store's shared lock: copy
+  // each pair's plan (handles, receiver windows, eligible overlays) into
+  // the scratch, then one batched sample in which link fields shared by
+  // any paths of the batch are evaluated once. Unplanned pairs are planned
+  // (see plan_missing) and the batch retried; a warm sweep never leaves
+  // the first iteration.
+  for (;;) {
+    {
+      std::shared_lock<std::shared_mutex> lock(store.mu);
+      const bool current = store.current(*flow_, *topo_);
+      if (current && gather(reqs, n, S)) {
+        S.metrics.resize(S.handles.size());
+        store.sampler->sample_batch(S.handles.data(), S.handles.size(), t,
+                                    S.metrics.data(), S.sampler);
+        break;
+      }
+      if (!current) {
+        S.missing.resize(n);
+        for (std::size_t i = 0; i < n; ++i) S.missing[i] = i;
       }
     }
-    S.batch_plans.push_back(&plan);
-    S.handles.insert(S.handles.end(), plan.handles.begin(), plan.handles.end());
+    plan_missing(reqs, S);
   }
 
-  // One batched sample: shared link fields are evaluated once for the
-  // whole batch.
-  S.metrics.resize(S.handles.size());
-  S.sampler->sample_batch(S.handles.data(), S.handles.size(), t,
-                          S.metrics.data());
-
-  // Pass 2: receiver windows (precomputed per plan) and the flat PFTK
+  // Pass 2: receiver windows (copied from the plans) and the flat PFTK
   // evaluation table, exactly as in measure(). Each overlay contributes
   // three deterministic evaluations — concat, leg1, leg2 — and the leg
   // values are shared between the split and discrete predictors.
@@ -217,14 +348,13 @@ void ModelMeasurement::measure_batch(const ProbeRequest* reqs, std::size_t n,
     S.capacity_bps.push_back(m.capacity_bps);
     S.rwnd_bytes.push_back(m.rwnd_bytes > 0 ? m.rwnd_bytes : p.rwnd_bytes);
   };
+  for (std::size_t k = 0; k < S.handles.size(); ++k) {
+    S.metrics[k].rwnd_bytes = S.rwnd[k];
+  }
   std::size_t cursor = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const PairPlan& plan = *S.batch_plans[i];
-    for (std::size_t k = 0; k < plan.handles.size(); ++k) {
-      S.metrics[cursor + k].rwnd_bytes = plan.rwnd[k];
-    }
     push_eval(S.metrics[cursor]);
-    for (std::size_t j = 0; j < plan.eligible.size(); ++j) {
+    for (std::size_t j = 0; j < S.n_eligible[i]; ++j) {
       const model::PathMetrics& m1 = S.metrics[cursor + 1 + 2 * j];
       const model::PathMetrics& m2 = S.metrics[cursor + 2 + 2 * j];
       S.concat.push_back(model::FlowModel::concat(m1, m2));
@@ -232,7 +362,7 @@ void ModelMeasurement::measure_batch(const ProbeRequest* reqs, std::size_t n,
       push_eval(m1);
       push_eval(m2);
     }
-    cursor += plan.handles.size();
+    cursor += 1 + 2 * S.n_eligible[i];
   }
   S.pftk_bps.resize(S.rtt_ms.size());
   model::pftk_throughput_batch(S.rtt_ms.size(), S.rtt_ms.data(), S.loss.data(),
@@ -243,7 +373,7 @@ void ModelMeasurement::measure_batch(const ProbeRequest* reqs, std::size_t n,
   // measure() makes on its private (seed, src, dst, t) stream, applied to
   // the precomputed PFTK values through the same FlowModel::noisy_tcp.
   cursor = 0;
-  std::size_t eval = 0, cc = 0;
+  std::size_t eval = 0, cc = 0, e = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const ProbeRequest& r = reqs[i];
     PairSample& ps = out[i];
@@ -257,7 +387,8 @@ void ModelMeasurement::measure_batch(const ProbeRequest* reqs, std::size_t n,
     ps.direct_loss = dm.loss;
     ps.direct_hops = dm.hop_count;
     ps.overlays.clear();  // keeps capacity: warm batches do not allocate
-    for (int o : S.batch_plans[i]->eligible) {
+    for (std::size_t j = 0; j < S.n_eligible[i]; ++j) {
+      const int o = S.eligible[e++];
       const model::PathMetrics& m1 = S.metrics[cursor++];
       const model::PathMetrics& m2 = S.metrics[cursor++];
       const model::PathMetrics& cm = S.concat[cc++];

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "core/overlay.h"
@@ -72,8 +73,8 @@ int probe_batch_size();
 class ModelMeasurement {
  public:
   ModelMeasurement(topo::Internet* topo, model::FlowModel* flow,
-                   std::uint64_t seed = 0)
-      : topo_(topo), flow_(flow), seed_(seed) {}
+                   std::uint64_t seed = 0);
+  ~ModelMeasurement();
 
   /// Measure (src,dst) against every overlay node at simulated time `t`.
   /// Thread-safe: const, and all randomness is per-call. This is the
@@ -87,9 +88,19 @@ class ModelMeasurement {
   /// in the batch are evaluated once, and all deterministic PFTK
   /// evaluations run as one flat loop; per-pair noise still comes from the
   /// (seed, src, dst, t) stream, so out[i] is bitwise identical to
-  /// measure(reqs[i]...) at every batch size. Thread-safe: each thread
-  /// keeps its own sampler and scratch (reused across calls, so warm
-  /// batches allocate nothing — out[i].overlays storage is reused too).
+  /// measure(reqs[i]...) at every batch size.
+  ///
+  /// Thread-safe. The measurement plan — each pair's interned path handles
+  /// and receiver windows, and the sampler's interned path and field
+  /// tables — is one store per meter, shared by every calling thread and
+  /// kept for one topology epoch (a new mutation epoch or FlowModel
+  /// instance resets it once). A warm batch takes one shared lock on it for
+  /// planning lookups and the sampling kernel; a batch with unplanned pairs
+  /// resolves their paths and aggregates outside the exclusive lock,
+  /// interns them under a short exclusive lock, and retries. The per-pair draws run
+  /// outside the lock. Per-thread state is only scratch (reused across
+  /// calls, so warm batches allocate nothing — out[i].overlays storage is
+  /// reused too). Topology mutations must not run concurrently with it.
   void measure_batch(const ProbeRequest* reqs, std::size_t n, sim::Time t,
                      PairSample* out) const;
 
@@ -100,9 +111,24 @@ class ModelMeasurement {
                      PairSample* out) const;
 
  private:
+  struct PlanStore;
+  struct BatchScratch;
+  static BatchScratch& batch_scratch();  ///< this thread's
+
+  /// Pass 1 of measure_batch under the store's shared lock: copy each
+  /// request's planned handles, receiver windows and eligible overlays
+  /// into `S`. Returns false, listing the unplanned requests in
+  /// S.missing, if any request has no complete plan.
+  bool gather(const ProbeRequest* reqs, std::size_t n, BatchScratch& S) const;
+  /// Plan S.missing: resolve its paths, and the aggregates of those the
+  /// store lacks, under the shared lock, then intern them under the
+  /// exclusive lock (resetting a stale store first).
+  void plan_missing(const ProbeRequest* reqs, BatchScratch& S) const;
+
   topo::Internet* topo_;
   model::FlowModel* flow_;
   std::uint64_t seed_;
+  std::unique_ptr<PlanStore> store_;
 };
 
 }  // namespace cronets::core

@@ -33,26 +33,72 @@ namespace cronets::model {
 /// sampler, no per-sample lock, hash-map memo probe, or shared_ptr
 /// refcount is touched.
 ///
-/// Thread-safety: none — a BatchSampler is a per-thread object (the batched
-/// measurement consumers keep one per worker thread). Interning pins the
-/// path's aggregates (and through them the RouterPath); `begin_batch`
+/// Thread-safety: the sampler is a store (interned paths and fields) plus
+/// a default Scratch. `intern` and `begin_batch` write the store;
+/// `sample_batch(..., Scratch&) const` only reads it, so any number of
+/// threads may sample one store concurrently, each into its own Scratch,
+/// while no thread interns (core::ModelMeasurement shares one store across
+/// its pool this way, behind a shared_mutex). The member `sample_batch`
+/// uses the sampler's own Scratch and is single-threaded. Interning pins
+/// the path's aggregates (and through them the RouterPath); `begin_batch`
 /// revalidates against the topology mutation epoch and resets the store
 /// (invalidating all handles) when the world has mutated, so callers
 /// re-intern their paths at the start of every batch.
 class BatchSampler {
  public:
+  /// One caller's working state for `sample_batch`: the t-independent
+  /// dedup plan of the last batch it sampled and the per-batch scratch.
+  /// Persistent, so warm batches do not allocate; valid against any store
+  /// (a plan built against another store, or before a reset, is ignored).
+  class Scratch {
+    friend class BatchSampler;
+    /// Lane group of the grouped simd::ar1_weighted_sums kernel: four
+    /// used fields and their lane-transposed, zero-padded weight block.
+    /// Spare lanes of a short tail group repeat the last field; their
+    /// outputs are ignored.
+    struct PlanGroup {
+      std::uint32_t field[4];
+      int nf;
+      int maxh;
+      std::uint32_t wt_begin;  ///< row-major maxh x 4 block in plan_wt_
+    };
+
+    /// Dedup-plan cache: the plan depends only on the handle set (not on
+    /// t) and the store it was built against, so re-sampling the same
+    /// handles — every probe tick, every bench rep — reuses it after one
+    /// memcmp-cheap content compare.
+    std::uint64_t plan_generation_ = 0;  ///< store generation; 0 = none
+    std::vector<int> plan_handles_;
+    std::uint64_t plan_traversals_ = 0;
+    std::vector<std::uint32_t> used_;  ///< unique fields, first-touch order
+    std::vector<PlanGroup> plan_groups_;
+    std::vector<double> plan_wt_;
+    /// Path-level dedup: a batch that names the same handle k times
+    /// (overlay legs shared across pairs, typically) pays for its
+    /// accumulation once — identical handle, identical metrics, so the
+    /// remaining copies are struct copies and cannot change bits.
+    std::vector<int> plan_uniq_;              ///< unique handles, first-touch
+    std::vector<std::uint32_t> plan_out_of_;  ///< input i -> plan_uniq_ index
+    /// Batch stamps per field and per handle (grown with the store, never
+    /// cleared), so building a plan costs in proportion to the batch.
+    std::vector<std::uint32_t> field_mark_;
+    std::vector<std::uint32_t> handle_mark_;
+    std::vector<std::uint32_t> handle_uniq_;  ///< valid where marked
+    std::uint32_t stamp_ = 0;
+    std::vector<FlowModel::LinkEval> f_eval_;  ///< per-field evaluation at t
+    std::vector<PathMetrics> uniq_out_;        ///< per-unique-path scratch
+    /// Link-field evaluations saved by within-batch dedup through this
+    /// scratch: (total path-link traversals sampled) - (unique fields
+    /// evaluated).
+    std::uint64_t dedup_saved_ = 0;
+  };
+
   /// `level` selects the innovation-kernel ISA (default: the process-wide
   /// CRONETS_SIMD choice). Every level is bitwise identical — the override
   /// exists so benches and tests can compare scalar against SIMD in one
   /// process.
   explicit BatchSampler(const FlowModel* flow,
-                        simd::Level level = simd::active_level())
-      : flow_(flow),
-        topo_(flow->topo()),
-        epoch_(flow->topo()->mutation_epoch()),
-        level_(level) {
-    path_slot_begin_.push_back(0);
-  }
+                        simd::Level level = simd::active_level());
 
   /// Revalidate against the topology mutation epoch. Returns true if the
   /// store was reset (every previously returned handle is now invalid).
@@ -61,27 +107,47 @@ class BatchSampler {
   /// Dense handle of `path`, interning its aggregates into the store on
   /// first use. Valid until the next store reset (see begin_batch).
   int intern(const topo::PathRef& path);
+  /// Handle of `path` if the store has interned it, else -1. Reads only.
+  int find(const topo::PathRef& path) const;
+  /// Same, with the path's aggregates already resolved (FlowModel::
+  /// aggregates is thread-safe, so callers sharing a store resolve them
+  /// before taking their write lock).
+  int intern(std::shared_ptr<const FlowModel::PathAggregates> agg);
 
-  /// Metrics of handles[i] at time `t` into out[i]. Bitwise identical to
-  /// FlowModel::sample(handle's path, t) for every element.
+  /// Metrics of handles[i] at time `t` into out[i], planned in `scratch`.
+  /// Bitwise identical to FlowModel::sample(handle's path, t) for every
+  /// element. Reads the store only.
   void sample_batch(const int* handles, std::size_t n, sim::Time t,
-                    PathMetrics* out);
+                    PathMetrics* out, Scratch& scratch) const;
+  /// Same, through the sampler's own Scratch.
+  void sample_batch(const int* handles, std::size_t n, sim::Time t,
+                    PathMetrics* out) {
+    sample_batch(handles, n, t, out, scratch_);
+  }
 
   std::size_t paths() const { return path_agg_.size(); }
   std::size_t unique_fields() const { return f_stream_.size(); }
   simd::Level simd_level() const { return level_; }
-  /// Link-field evaluations saved by within-batch dedup since construction:
-  /// (total path-link traversals sampled) - (unique fields evaluated).
-  std::uint64_t dedup_saved() const { return dedup_saved_; }
+  /// Link-field evaluations saved by the member sample_batch's within-batch
+  /// dedup since construction: (total path-link traversals sampled) -
+  /// (unique fields evaluated).
+  std::uint64_t dedup_saved() const { return scratch_.dedup_saved_; }
 
  private:
   std::uint32_t intern_field(const FlowModel::LinkField& f);
+  /// Build `s`'s dedup plan for this handle set (the t-independent part of
+  /// sample_batch).
+  void plan(const int* handles, std::size_t n, Scratch& s) const;
   void reset();
 
   const FlowModel* flow_;
   const topo::Internet* topo_;
   std::uint64_t epoch_;
   simd::Level level_;
+  /// Process-unique id of the store's current contents: taken afresh at
+  /// construction and at every reset, so a Scratch never reuses a plan
+  /// whose handles meant something else.
+  std::uint64_t generation_;
 
   // --- interned paths (each pinned aggregate also pins its RouterPath) ---
   std::unordered_map<const topo::RouterPath*, int> path_index_;
@@ -107,39 +173,7 @@ class BatchSampler {
   std::vector<std::uint32_t> f_weight_begin_;  ///< size fields+1 into f_weights_
   std::vector<double> f_weights_;
 
-  // --- per-batch scratch (persistent so warm batches do not allocate) ---
-  std::vector<std::uint32_t> used_;  ///< unique fields touched, first-touch order
-  std::vector<std::uint32_t> mark_;  ///< per-field batch stamp
-  std::uint32_t stamp_ = 0;
-  std::vector<FlowModel::LinkEval> f_eval_;  ///< per-field evaluation at t
-  std::uint64_t dedup_saved_ = 0;
-  /// Dedup-plan cache: pass 1 (the unique-field scan) depends only on the
-  /// handle set, not on t, so a sweep re-sampling the same handles — every
-  /// probe tick, every bench rep — reuses `used_` after one memcmp-cheap
-  /// content compare. Invalidated on store reset.
-  std::vector<int> plan_handles_;
-  std::uint64_t plan_traversals_ = 0;
-  bool plan_valid_ = false;
-  /// Used fields packed into lane groups of four for the grouped
-  /// simd::ar1_weighted_sums kernel, with the lane-transposed zero-padded
-  /// weight matrix (t-independent, so it is part of the cached plan).
-  /// Spare lanes of a short tail group repeat the last field; their
-  /// outputs are ignored.
-  struct PlanGroup {
-    std::uint32_t field[4];
-    int nf;
-    int maxh;
-    std::uint32_t wt_begin;  ///< row-major maxh x 4 block in plan_wt_
-  };
-  std::vector<PlanGroup> plan_groups_;
-  std::vector<double> plan_wt_;
-  /// Path-level dedup, also part of the plan: a batch that names the same
-  /// handle k times (overlay legs shared across pairs, typically) pays for
-  /// its accumulation once — identical handle, identical metrics, so the
-  /// remaining copies are struct copies and cannot change bits.
-  std::vector<int> plan_uniq_;             ///< unique handles, first-touch order
-  std::vector<std::uint32_t> plan_out_of_; ///< input i -> index into plan_uniq_
-  std::vector<PathMetrics> uniq_out_;      ///< per-unique-path scratch
+  Scratch scratch_;  ///< the member sample_batch's
 };
 
 }  // namespace cronets::model

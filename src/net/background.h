@@ -65,7 +65,9 @@ class BackgroundProcess {
   double utilization(sim::Time now) {
     const std::int64_t target = now.ns() / std::max<std::int64_t>(p_.epoch.ns(), 1);
     while (epoch_ < target) {
-      util_ += p_.theta * (p_.mean_util - util_) + rng_.normal(0.0, p_.sigma);
+      // Scaled standard normal: same draw sequence, and sigma == 0 stays
+      // inside normal_distribution's stddev > 0 precondition.
+      util_ += p_.theta * (p_.mean_util - util_) + p_.sigma * rng_.normal(0.0, 1.0);
       util_ = std::clamp(util_, 0.0, 0.98);
       ++epoch_;
     }

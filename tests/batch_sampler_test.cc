@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "model/batch_sampler.h"
+#include "sim/rng.h"
 #include "wkld/experiments.h"
 #include "wkld/world.h"
 
@@ -80,6 +82,20 @@ void expect_pair_samples_equal(const core::PairSample& a, const core::PairSample
   }
 }
 
+// First tier-1 <-> tier-1 adjacency: cutting it changes transit routes.
+std::pair<int, int> tier1_adjacency(const topo::Internet& net) {
+  const auto& ases = net.ases();
+  for (std::size_t a = 0; a < ases.size(); ++a) {
+    if (ases[a].tier != topo::Tier::kTier1) continue;
+    for (const auto& adj : ases[a].adj) {
+      if (ases[adj.nbr_as].tier == topo::Tier::kTier1) {
+        return {static_cast<int>(a), adj.nbr_as};
+      }
+    }
+  }
+  return {-1, -1};
+}
+
 TEST(BatchSampler, BitwiseEqualsScalarAtEveryBatchSize) {
   wkld::World world(42, small_params());
   const auto pops = make_populations(world, 6);
@@ -110,6 +126,25 @@ TEST(BatchSampler, BitwiseEqualsScalarAtEveryBatchSize) {
     }
   }
   EXPECT_GT(sampler.dedup_saved(), 0u);
+
+  // One leg named many times among distinct paths: the plan walks each
+  // distinct handle's fields once, and every copy still matches scalar.
+  std::vector<int> rep;
+  std::vector<std::size_t> rep_path;
+  for (std::size_t i = 0; i < 64; ++i) {
+    rep.push_back(handles[i]);
+    rep_path.push_back(i);
+    rep.push_back(handles[1]);
+    rep_path.push_back(1);
+  }
+  std::vector<model::PathMetrics> rep_out(rep.size());
+  for (const sim::Time t : times) {  // the second and third reuse the plan
+    sampler.sample_batch(rep.data(), rep.size(), t, rep_out.data());
+    for (std::size_t i = 0; i < rep.size(); ++i) {
+      expect_metrics_equal(rep_out[i], world.flow().sample(paths[rep_path[i]], t),
+                           "repeated leg");
+    }
+  }
 }
 
 TEST(BatchSampler, ReinternsAfterTopologyMutation) {
@@ -142,18 +177,7 @@ TEST(BatchSampler, ReinternsAfterTopologyMutation) {
   }
 
   // BGP failure: routes themselves change and paths re-intern.
-  int as_a = -1, as_b = -1;
-  const auto& ases = world.internet().ases();
-  for (std::size_t i = 0; i < ases.size() && as_a < 0; ++i) {
-    if (ases[i].tier != topo::Tier::kTier1) continue;
-    for (const auto& adj : ases[i].adj) {
-      if (ases[adj.nbr_as].tier == topo::Tier::kTier1) {
-        as_a = static_cast<int>(i);
-        as_b = adj.nbr_as;
-        break;
-      }
-    }
-  }
+  const auto [as_a, as_b] = tier1_adjacency(world.internet());
   ASSERT_GE(as_a, 0);
   ASSERT_TRUE(world.internet().set_adjacency_up(as_a, as_b, false));
   EXPECT_TRUE(sampler.begin_batch());
@@ -248,18 +272,7 @@ TEST(BatchMeasure, PostMutationMeasurementsTrackScalar) {
 
   // Cut a transit adjacency: routes change, the path cache invalidates,
   // and the next batch re-interns everything against the new epoch.
-  int as_a = -1, as_b = -1;
-  const auto& ases = world.internet().ases();
-  for (std::size_t a = 0; a < ases.size() && as_a < 0; ++a) {
-    if (ases[a].tier != topo::Tier::kTier1) continue;
-    for (const auto& adj : ases[a].adj) {
-      if (ases[adj.nbr_as].tier == topo::Tier::kTier1) {
-        as_a = static_cast<int>(a);
-        as_b = adj.nbr_as;
-        break;
-      }
-    }
-  }
+  const auto [as_a, as_b] = tier1_adjacency(world.internet());
   ASSERT_GE(as_a, 0);
   ASSERT_TRUE(world.internet().set_adjacency_up(as_a, as_b, false));
 
@@ -273,6 +286,104 @@ TEST(BatchMeasure, PostMutationMeasurementsTrackScalar) {
   }
 }
 
+// One measure_batch sweep over `pairs` on the world's pool, batch `order[b]`
+// claimed b-th, so which thread measures (and first plans) a pair varies
+// with the order.
+void pooled_sweep(wkld::World& world, const std::vector<std::pair<int, int>>& pairs,
+                  const std::vector<int>& overlays, std::size_t batch,
+                  const std::vector<std::size_t>& order, sim::Time t,
+                  std::vector<core::PairSample>* out) {
+  out->resize(pairs.size());
+  world.pool().parallel_for(order.size(), [&](std::size_t b) {
+    const std::size_t lo = order[b] * batch;
+    const std::size_t len = std::min(batch, pairs.size() - lo);
+    world.meter().measure_batch(pairs.data() + lo, len, overlays, t,
+                                out->data() + lo);
+  });
+}
+
+TEST(BatchMeasure, SharedPlansAreThreadAssignmentInvariant) {
+  // The pair plans and interned paths are one store shared by the pool:
+  // whichever thread plans a pair first, every other thread's batches must
+  // read the same plan, and a topology mutation must reset it once for all
+  // of them.
+  wkld::World world(13, small_params(13), topo::CloudParams{},
+                    sim::Parallelism{4});
+  const auto pops = make_populations(world, 9);
+  std::vector<std::pair<int, int>> pairs;
+  for (int s : pops.servers) {
+    for (int c : pops.clients) pairs.emplace_back(s, c);
+  }
+  const std::size_t batch = 5;
+  std::vector<std::size_t> order((pairs.size() + batch - 1) / batch);
+  for (std::size_t b = 0; b < order.size(); ++b) order[b] = b;
+  const auto [as_a, as_b] = tier1_adjacency(world.internet());
+  ASSERT_GE(as_a, 0);
+
+  sim::Rng rng(99);
+  std::vector<core::PairSample> got;
+  for (int sweep = 0; sweep < 5; ++sweep) {
+    if (sweep == 3) {
+      ASSERT_TRUE(world.internet().set_adjacency_up(as_a, as_b, false));
+    }
+    if (sweep % 2 == 1) {
+      std::reverse(order.begin(), order.end());
+    } else if (sweep > 0) {
+      rng.shuffle(order);
+    }
+    const sim::Time t = sim::Time::minutes(10 + 7 * sweep);
+    pooled_sweep(world, pairs, pops.overlays, batch, order, t, &got);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      expect_pair_samples_equal(
+          world.meter().measure(pairs[i].first, pairs[i].second, pops.overlays, t),
+          got[i]);
+    }
+  }
+}
+
+TEST(BatchMeasure, WarmSweepsDoNoPlanning) {
+  // Once every pair has been planned by some thread, a re-sweep at a new
+  // time does no path-cache lookups on any thread — even on threads that
+  // never measured those pairs (each sweep starts four fresh threads and
+  // rotates which of them measures which batches).
+  wkld::World world(17, small_params(17));
+  const auto pops = make_populations(world, 12);
+  std::vector<std::pair<int, int>> pairs;
+  for (int s : pops.servers) {
+    for (int c : pops.clients) pairs.emplace_back(s, c);
+  }
+  const std::size_t batch = 4;
+  const std::size_t nbatches = (pairs.size() + batch - 1) / batch;
+  std::vector<core::PairSample> got(pairs.size());
+  const auto sweep = [&](std::size_t rotate, sim::Time t) {
+    std::vector<std::thread> threads;
+    for (std::size_t k = 0; k < 4; ++k) {
+      threads.emplace_back([&, k] {
+        for (std::size_t b = 0; b < nbatches; ++b) {
+          if ((b + rotate) % 4 != k) continue;
+          const std::size_t lo = b * batch;
+          const std::size_t len = std::min(batch, pairs.size() - lo);
+          world.meter().measure_batch(pairs.data() + lo, len, pops.overlays, t,
+                                      got.data() + lo);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  };
+
+  sweep(0, sim::Time::minutes(5));
+  const auto& cache = world.internet().path_cache();
+  const std::uint64_t lookups = cache.hits() + cache.misses();
+  const sim::Time t = sim::Time::minutes(20);
+  sweep(1, t);
+  EXPECT_EQ(cache.hits() + cache.misses(), lookups);
+  for (std::size_t i = 0; i < pairs.size(); i += 7) {
+    expect_pair_samples_equal(
+        world.meter().measure(pairs[i].first, pairs[i].second, pops.overlays, t),
+        got[i]);
+  }
+}
+
 TEST(BatchSampler, ReinternsConsistentlyThroughFlapStorm) {
   // Chaos-style storm: an adjacency bounces down/up repeatedly while a
   // mutation listener subscribes and unsubscribes mid-storm. After every
@@ -282,18 +393,7 @@ TEST(BatchSampler, ReinternsConsistentlyThroughFlapStorm) {
   auto& net = world.internet();
   const auto pops = make_populations(world, 4);
 
-  int as_a = -1, as_b = -1;
-  const auto& ases = net.ases();
-  for (std::size_t i = 0; i < ases.size() && as_a < 0; ++i) {
-    if (ases[i].tier != topo::Tier::kTier1) continue;
-    for (const auto& adj : ases[i].adj) {
-      if (ases[adj.nbr_as].tier == topo::Tier::kTier1) {
-        as_a = static_cast<int>(i);
-        as_b = adj.nbr_as;
-        break;
-      }
-    }
-  }
+  const auto [as_a, as_b] = tier1_adjacency(net);
   ASSERT_GE(as_a, 0);
 
   model::BatchSampler sampler(&world.flow());
