@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "scoped_counters.h"
 #include "chaos/injector.h"
 #include "chaos/monitor.h"
 #include "chaos/scenario.h"
@@ -83,6 +84,7 @@ int main(int argc, char** argv) {
       world.internet(), sp, bench::world_seed(), scenario_seed);
 
   chaos::ResilienceMonitor monitor(&broker);
+  const bench::ScopedCounters scoped(&world.internet());
   chaos::Injector injector(&world.internet(), &broker.queue());
   injector.set_observer(&monitor);
   injector.arm(scenario);
@@ -204,6 +206,7 @@ int main(int argc, char** argv) {
   };
   run.add_extra("arrival_rate_per_s", churn.arrival_rate_per_s());
   run.add_extra("probes", static_cast<double>(st.probes));
+  scoped.report(run, broker, world.meter());
   run.finish(checks);
   return 0;
 }

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "scoped_counters.h"
 #include "core/selection.h"
 #include "route/plane.h"
 #include "service/sharded_broker.h"
@@ -92,7 +93,8 @@ struct RunResult {
 // is identical, so every RunResult field must be bitwise identical across
 // shard counts, and across incremental vs full-recompute plane modes.
 RunResult run_one(route::Policy policy, int num_shards, bool smoke,
-                  bool incremental = true) {
+                  bool incremental = true, bench::BenchRun* report = nullptr,
+                  const std::string& report_prefix = "") {
   wkld::World world(bench::world_seed(), pathological_topology(),
                     pathological_cloud());
   auto& net = world.internet();
@@ -144,6 +146,7 @@ RunResult run_one(route::Policy policy, int num_shards, bool smoke,
 
   service::ShardedBroker broker(&net, &world.meter(), &world.pool(), overlays,
                                 num_shards, cfg);
+  const bench::ScopedCounters scoped(&net);
 
   wkld::SessionChurnParams churn_params;
   churn_params.seed = bench::world_seed() ^ 0x90f7e5;
@@ -186,13 +189,16 @@ RunResult run_one(route::Policy policy, int num_shards, bool smoke,
     if (best.kind == core::PathKind::kMultiHop && best.measured &&
         best.score_bps > 0.0) {
       ++r.multihop_pairs;
-      if (best.via.size() > 2) ++r.detour_best;
+      if (best.via().size() > 2) ++r.detour_best;
     }
   }
   r.table_fp = plane.table_fingerprint();
   r.rounds = plane.rounds();
   r.flaps = plane.flaps();
   r.convergence_round = plane.convergence_round();
+  if (report != nullptr) {
+    scoped.report(*report, broker, world.meter(), report_prefix);
+  }
   return r;
 }
 
@@ -348,7 +354,7 @@ int main(int argc, char** argv) {
     if (only_dcs > 0) break;  // --dcs: skip the broker section
     const std::string tag = route::policy_name(policy);
     const RunResult ref = run_one(policy, /*num_shards=*/1, smoke,
-                                  env_incremental);
+                                  env_incremental, &run, tag + ": scoped.");
     const RunResult s8 = run_one(policy, /*num_shards=*/8, smoke,
                                  env_incremental);
     const RunResult full = run_one(policy, /*num_shards=*/1, smoke,

@@ -37,7 +37,7 @@ void Injector::begin_fault(Fault& f, sim::Time t) {
     case FaultKind::kCongestionStorm:
     case FaultKind::kGrayFailure:
       // The events carry their own [begin, end) window; adding them now
-      // (not at arm time) is what churns the mutation epoch mid-run.
+      // (not at arm time) is what makes them arrive mid-run.
       for (const auto& ev : f.events) topo_->add_event(ev);
       break;
   }

@@ -24,9 +24,9 @@ class FaultObserver {
 /// Replays a Scenario against the live world: schedules every fault's
 /// begin/end on the control plane's sim::EventQueue and applies them
 /// through the production mutation machinery (Internet::set_adjacency_up,
-/// Internet::add_event) — so PathCache invalidation, FlowModel aggregate
-/// rebuilds, BatchSampler re-interning, and broker failover all fire
-/// exactly as they would for a real mid-run failure.
+/// Internet::add_event) — so the scoped PathCache re-expansion, plan and
+/// sampler-handle drops, ranker re-resolution, and broker failover all
+/// fire exactly as they would for a real mid-run failure.
 class Injector {
  public:
   Injector(topo::Internet* topo, sim::EventQueue* queue)

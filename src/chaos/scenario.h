@@ -36,8 +36,8 @@ struct Fault {
   int dc = -1;               ///< kDcOutage: index into dc_endpoints()
 
   /// kCongestionStorm / kGrayFailure: prebuilt link events carrying the
-  /// [begin, end) window; injected via Internet::add_event at fault begin
-  /// so the mutation epoch (and every derived cache) churns mid-run.
+  /// [begin, end) window; injected via Internet::add_event at fault begin,
+  /// so the episode arrives mid-run (and re-probes the edges it touches).
   std::vector<topo::LinkEvent> events;
 
   /// kDcOutage: adjacencies actually taken down, filled by the Injector at

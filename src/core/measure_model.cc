@@ -1,6 +1,7 @@
 #include "core/measure_model.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -47,18 +48,52 @@ struct PairPlan {
 }  // namespace
 
 // The shared measurement plan of one meter (see measure_batch). `sampler`
-// is null until the first batch; `flow_tag` and `epoch` are the FlowModel
-// instance and topology mutation epoch the contents were built for.
+// is null until the first batch; `flow_tag` is the FlowModel instance the
+// contents were built for. The plans are current while the sampler is
+// synced to the PathCache's version: a route move releases the sampler
+// handles of the moved paths and drops just the plan entries naming them.
 struct ModelMeasurement::PlanStore {
   std::shared_mutex mu;
   std::uint64_t flow_tag = 0;
-  std::uint64_t epoch = 0;
   std::unique_ptr<model::BatchSampler> sampler;
   std::unordered_map<std::uint64_t, PairPlan> plans;  ///< key: (src, dst)
+  std::vector<int> released;  ///< sync scratch
+  std::vector<char> dead;     ///< sync scratch, per handle
+  std::atomic<std::uint64_t> batches{0}, cold_batches{0};
+  std::uint64_t dropped_directs = 0, dropped_legs = 0;  ///< guarded by mu
 
-  bool current(const model::FlowModel& flow, const topo::Internet& topo) const {
+  bool current(const model::FlowModel& flow, topo::Internet& topo) const {
     return sampler && flow_tag == flow.instance_tag() &&
-           epoch == topo.mutation_epoch();
+           sampler->path_version() == topo.path_cache().version();
+  }
+
+  /// Bring a stale store up to date (exclusive lock held): a new model
+  /// starts over; a route move drops the plan entries of moved paths.
+  void sync(model::FlowModel* flow) {
+    if (!sampler || flow_tag != flow->instance_tag()) {
+      sampler = std::make_unique<model::BatchSampler>(flow);
+      flow_tag = flow->instance_tag();
+      plans.clear();
+      return;
+    }
+    released.clear();
+    if (!sampler->begin_batch(&released)) return;
+    dead.assign(sampler->paths(), 0);
+    for (const int h : released) dead[static_cast<std::size_t>(h)] = 1;
+    for (auto& [key, plan] : plans) {
+      if (plan.direct >= 0 && dead[static_cast<std::size_t>(plan.direct)]) {
+        plan.direct = -1;
+        ++dropped_directs;
+      }
+      const auto stale = [&](const PairPlan::Leg& l) {
+        return dead[static_cast<std::size_t>(l.leg1)] ||
+               dead[static_cast<std::size_t>(l.leg2)];
+      };
+      const std::size_t before = plan.legs.size();
+      plan.legs.erase(std::remove_if(plan.legs.begin(), plan.legs.end(), stale),
+                      plan.legs.end());
+      dropped_legs += before - plan.legs.size();
+    }
   }
 };
 
@@ -200,7 +235,7 @@ bool ModelMeasurement::gather(const ProbeRequest* reqs, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     const ProbeRequest& r = reqs[i];
     const auto it = store.plans.find(sim::pack_pair(r.src, r.dst));
-    if (it == store.plans.end()) {
+    if (it == store.plans.end() || it->second.direct < 0) {
       S.missing.push_back(i);
       continue;
     }
@@ -259,17 +294,6 @@ void ModelMeasurement::plan_missing(const ProbeRequest* reqs,
   }
 
   std::unique_lock<std::shared_mutex> lock(store.mu);
-  if (!store.current(*flow_, *topo_)) {
-    // Topology mutated or a new model: every interned handle is invalid.
-    // A mutation resets the sampler in place, keeping its capacity.
-    if (!store.sampler || store.flow_tag != flow_->instance_tag()) {
-      store.sampler = std::make_unique<model::BatchSampler>(flow_);
-      store.flow_tag = flow_->instance_tag();
-    }
-    store.sampler->begin_batch();
-    store.epoch = topo_->mutation_epoch();
-    store.plans.clear();
-  }
   model::BatchSampler& sampler = *store.sampler;
   const auto intern = [&](std::size_t k) {
     return S.aggs[k] ? sampler.intern(std::move(S.aggs[k]))
@@ -295,7 +319,7 @@ void ModelMeasurement::plan_missing(const ProbeRequest* reqs,
       c += 2;
     }
   }
-  // Do not pin paths or aggregates past this epoch.
+  // Do not pin paths or aggregates past this batch.
   S.paths.clear();
   S.aggs.clear();
 }
@@ -311,24 +335,29 @@ void ModelMeasurement::measure_batch(const ProbeRequest* reqs, std::size_t n,
   // the scratch, then one batched sample in which link fields shared by
   // any paths of the batch are evaluated once. Unplanned pairs are planned
   // (see plan_missing) and the batch retried; a warm sweep never leaves
-  // the first iteration.
+  // the first iteration. A store behind the PathCache is synced first.
+  store.batches.fetch_add(1, std::memory_order_relaxed);
+  bool cold = false;
   for (;;) {
     {
       std::shared_lock<std::shared_mutex> lock(store.mu);
-      const bool current = store.current(*flow_, *topo_);
-      if (current && gather(reqs, n, S)) {
+      if (!store.current(*flow_, *topo_)) {
+        lock.unlock();
+        std::unique_lock<std::shared_mutex> excl(store.mu);
+        if (!store.current(*flow_, *topo_)) store.sync(flow_);
+        continue;
+      }
+      if (gather(reqs, n, S)) {
         S.metrics.resize(S.handles.size());
         store.sampler->sample_batch(S.handles.data(), S.handles.size(), t,
                                     S.metrics.data(), S.sampler);
         break;
       }
-      if (!current) {
-        S.missing.resize(n);
-        for (std::size_t i = 0; i < n; ++i) S.missing[i] = i;
-      }
     }
+    cold = true;
     plan_missing(reqs, S);
   }
+  if (cold) store.cold_batches.fetch_add(1, std::memory_order_relaxed);
 
   // Pass 2: receiver windows (copied from the plans) and the flat PFTK
   // evaluation table, exactly as in measure(). Each overlay contributes
@@ -412,6 +441,17 @@ void ModelMeasurement::measure_batch(const ProbeRequest* reqs, std::size_t n,
       ps.overlays.push_back(s);
     }
   }
+}
+
+ModelMeasurement::PlanStats ModelMeasurement::plan_stats() const {
+  PlanStore& store = *store_;
+  std::shared_lock<std::shared_mutex> lock(store.mu);
+  PlanStats s;
+  s.batches = store.batches.load(std::memory_order_relaxed);
+  s.cold_batches = store.cold_batches.load(std::memory_order_relaxed);
+  s.dropped_directs = store.dropped_directs;
+  s.dropped_legs = store.dropped_legs;
+  return s;
 }
 
 void ModelMeasurement::measure_batch(const std::pair<int, int>* pairs,

@@ -93,9 +93,14 @@ class ModelMeasurement {
   /// Thread-safe. The measurement plan — each pair's interned path handles
   /// and receiver windows, and the sampler's interned path and field
   /// tables — is one store per meter, shared by every calling thread and
-  /// kept for one topology epoch (a new mutation epoch or FlowModel
-  /// instance resets it once). A warm batch takes one shared lock on it for
-  /// planning lookups and the sampling kernel; a batch with unplanned pairs
+  /// kept for the meter's lifetime (a new FlowModel instance resets it).
+  /// A route move drops only the direct handles and overlay legs of the
+  /// paths that moved: the first batch after the PathCache's version
+  /// advances syncs the store under the exclusive lock, and every other
+  /// batch checks that version with one compare. Transient link events
+  /// touch no plan (the kernel reads them live). A warm batch takes one
+  /// shared lock on the store for planning lookups and the sampling
+  /// kernel; a batch with unplanned pairs
   /// resolves their paths and aggregates outside the exclusive lock,
   /// interns them under a short exclusive lock, and retries. The per-pair draws run
   /// outside the lock. Per-thread state is only scratch (reused across
@@ -109,6 +114,15 @@ class ModelMeasurement {
   void measure_batch(const std::pair<int, int>* pairs, std::size_t n,
                      const std::vector<int>& overlay_eps, sim::Time t,
                      PairSample* out) const;
+
+  /// Reporting counters of the shared plan store. No decision reads them.
+  struct PlanStats {
+    std::uint64_t batches = 0;          ///< measure_batch calls
+    std::uint64_t cold_batches = 0;     ///< calls that planned some pair
+    std::uint64_t dropped_directs = 0;  ///< direct handles of moved paths
+    std::uint64_t dropped_legs = 0;     ///< overlay legs naming a moved path
+  };
+  PlanStats plan_stats() const;
 
  private:
   struct PlanStore;

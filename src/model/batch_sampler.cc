@@ -23,36 +23,29 @@ std::uint64_t next_generation() {
 BatchSampler::BatchSampler(const FlowModel* flow, simd::Level level)
     : flow_(flow),
       topo_(flow->topo()),
-      epoch_(flow->topo()->mutation_epoch()),
+      path_version_(flow->topo()->path_cache().version()),
       level_(level),
       generation_(next_generation()) {
   path_slot_begin_.push_back(0);
 }
 
-void BatchSampler::reset() {
-  path_index_.clear();
-  path_agg_.clear();
-  path_min_capacity_bps_.clear();
-  path_hops_.clear();
-  path_slot_begin_.clear();
-  path_slot_begin_.push_back(0);
-  slot_field_.clear();
-  field_index_.clear();
-  f_field_.clear();
-  f_stream_.clear();
-  f_epoch_ns_.clear();
-  f_horizon_.clear();
-  f_weight_begin_.clear();
-  f_weights_.clear();
-  generation_ = next_generation();
-}
-
-bool BatchSampler::begin_batch() {
-  const std::uint64_t epoch = topo_->mutation_epoch();
-  if (epoch == epoch_) return false;
-  reset();
-  epoch_ = epoch;
-  return true;
+bool BatchSampler::begin_batch(std::vector<int>* released) {
+  const topo::PathCache& cache = topo_->path_cache();
+  if (path_version_ == cache.version()) return false;
+  bool any = false;
+  for (const std::uint64_t key : cache.moved_since(path_version_)) {
+    const auto it = handle_of_key_.find(key);
+    if (it == handle_of_key_.end()) continue;
+    const int h = it->second;
+    const auto hs = static_cast<std::size_t>(h);
+    if (cache.peek(key) == path_agg_[hs]->path) continue;  // re-interned since
+    path_agg_[hs].reset();
+    handle_of_key_.erase(it);  // a key that moved twice releases once
+    any = true;
+    if (released != nullptr) released->push_back(h);
+  }
+  path_version_ = cache.version();
+  return any;
 }
 
 std::uint32_t BatchSampler::intern_field(const FlowModel::LinkField& f) {
@@ -60,7 +53,7 @@ std::uint32_t BatchSampler::intern_field(const FlowModel::LinkField& f) {
       field_index_.emplace(f.stream, static_cast<std::uint32_t>(f_stream_.size()));
   if (!inserted) return it->second;
   assert(f.horizon <= kMaxHorizon);
-  f_field_.push_back(&f);
+  f_field_.push_back(f);
   f_stream_.push_back(f.stream);
   f_epoch_ns_.push_back(f.epoch_ns);
   f_horizon_.push_back(f.horizon);
@@ -78,22 +71,32 @@ std::uint32_t BatchSampler::intern_field(const FlowModel::LinkField& f) {
 }
 
 int BatchSampler::find(const topo::PathRef& path) const {
-  const auto it = path_index_.find(path.get());
-  return it == path_index_.end() ? -1 : it->second;
+  const auto it = handle_of_key_.find(topo::PathCache::key_of(*path));
+  if (it == handle_of_key_.end()) return -1;
+  return path_agg_[static_cast<std::size_t>(it->second)]->path == path
+             ? it->second
+             : -1;
 }
 
 int BatchSampler::intern(const topo::PathRef& path) {
   const int handle = find(path);
   if (handle >= 0) return handle;
-  // Reuse (and pin) the model's memoized aggregates: the LinkFields the
-  // store points at live inside them.
+  // Reuse (and pin) the model's memoized aggregates.
   return intern(flow_->aggregates(path));
 }
 
 int BatchSampler::intern(std::shared_ptr<const FlowModel::PathAggregates> agg) {
-  const auto [it, inserted] = path_index_.emplace(
-      agg->path.get(), static_cast<int>(path_agg_.size()));
-  if (!inserted) return it->second;
+  const int h = static_cast<int>(path_agg_.size());
+  const auto [it, inserted] =
+      handle_of_key_.emplace(topo::PathCache::key_of(*agg->path), h);
+  if (!inserted) {
+    if (path_agg_[static_cast<std::size_t>(it->second)]->path == agg->path) {
+      return it->second;
+    }
+    // A newer object for the key, interned without a sync: the old handle
+    // keeps sampling its path but is no longer found.
+    it->second = h;
+  }
   for (const FlowModel::LinkField& f : agg->links) {
     slot_field_.push_back(intern_field(f));
   }
@@ -101,7 +104,7 @@ int BatchSampler::intern(std::shared_ptr<const FlowModel::PathAggregates> agg) {
   path_min_capacity_bps_.push_back(agg->min_capacity_bps);
   path_hops_.push_back(agg->hop_count);
   path_agg_.push_back(std::move(agg));
-  return it->second;
+  return h;
 }
 
 void BatchSampler::plan(const int* handles, std::size_t n, Scratch& s) const {
@@ -218,7 +221,7 @@ void BatchSampler::sample_batch(const int* handles, std::size_t n, sim::Time t,
                             s.plan_wt_.data() + g.wt_begin, g.maxh, acc4);
     for (int k = 0; k < g.nf; ++k) {
       const std::uint32_t fi = g.field[k];
-      s.f_eval_[fi] = FlowModel::eval_field(*f_field_[fi], acc4[k], t);
+      s.f_eval_[fi] = FlowModel::eval_field(f_field_[fi], acc4[k], t);
     }
   }
 

@@ -15,10 +15,9 @@ namespace cronets::model {
 /// Batch-oriented, SIMD-friendly path sampler over interned paths. Each
 /// path becomes a dense handle that pins its FlowModel::PathAggregates;
 /// the sampler keeps in contiguous arrays only what its loops read (per
-/// field: stream id, epoch, horizon, exponential weights; per path: min
-/// capacity and hop count) and points at the aggregates' LinkFields for
-/// everything else. `sample_batch` evaluates a whole batch of paths at one
-/// timestamp with
+/// field: stream id, epoch, horizon, exponential weights, and a copy of
+/// the LinkField; per path: min capacity and hop count). `sample_batch`
+/// evaluates a whole batch of paths at one timestamp with
 ///
 ///  1. *deduplicated* link-field evaluation — each (link direction, t) is
 ///     computed exactly once per batch no matter how many paths cross it
@@ -40,10 +39,10 @@ namespace cronets::model {
 /// while no thread interns (core::ModelMeasurement shares one store across
 /// its pool this way, behind a shared_mutex). The member `sample_batch`
 /// uses the sampler's own Scratch and is single-threaded. Interning pins
-/// the path's aggregates (and through them the RouterPath); `begin_batch`
-/// revalidates against the topology mutation epoch and resets the store
-/// (invalidating all handles) when the world has mutated, so callers
-/// re-intern their paths at the start of every batch.
+/// the path's aggregates (and through them the RouterPath). The store is
+/// never reset: `begin_batch` syncs it with the topology's PathCache and
+/// releases only the handles whose path's route has moved since, so
+/// callers re-intern just those paths.
 class BatchSampler {
  public:
   /// One caller's working state for `sample_batch`: the t-independent
@@ -100,12 +99,17 @@ class BatchSampler {
   explicit BatchSampler(const FlowModel* flow,
                         simd::Level level = simd::active_level());
 
-  /// Revalidate against the topology mutation epoch. Returns true if the
-  /// store was reset (every previously returned handle is now invalid).
-  bool begin_batch();
+  /// Sync with the PathCache's moved-key log: release every handle whose
+  /// path is no longer its key's current entry (appending them to
+  /// `released` when given). Returns true if any handle was released.
+  /// Released handles still sample their old path, but `find`/`intern`
+  /// no longer return them. Reads only the PathCache when nothing moved.
+  bool begin_batch(std::vector<int>* released = nullptr);
+  /// The PathCache version the store is synced to (begin_batch).
+  std::uint64_t path_version() const { return path_version_; }
 
   /// Dense handle of `path`, interning its aggregates into the store on
-  /// first use. Valid until the next store reset (see begin_batch).
+  /// first use. Handles are never reused; one stays valid until released.
   int intern(const topo::PathRef& path);
   /// Handle of `path` if the store has interned it, else -1. Reads only.
   int find(const topo::PathRef& path) const;
@@ -138,19 +142,19 @@ class BatchSampler {
   /// Build `s`'s dedup plan for this handle set (the t-independent part of
   /// sample_batch).
   void plan(const int* handles, std::size_t n, Scratch& s) const;
-  void reset();
 
   const FlowModel* flow_;
-  const topo::Internet* topo_;
-  std::uint64_t epoch_;
+  topo::Internet* topo_;
+  std::uint64_t path_version_;
   simd::Level level_;
-  /// Process-unique id of the store's current contents: taken afresh at
-  /// construction and at every reset, so a Scratch never reuses a plan
-  /// whose handles meant something else.
+  /// Process-unique id of the store, so a Scratch never reuses a plan
+  /// built against another store.
   std::uint64_t generation_;
 
-  // --- interned paths (each pinned aggregate also pins its RouterPath) ---
-  std::unordered_map<const topo::RouterPath*, int> path_index_;
+  // --- interned paths (each pinned aggregate also pins its RouterPath;
+  // a released handle's pin is dropped, its slots stay) ---
+  /// PathCache key -> the handle of the key's path object.
+  std::unordered_map<std::uint64_t, int> handle_of_key_;
   std::vector<std::shared_ptr<const FlowModel::PathAggregates>> path_agg_;
   /// Pass 3's per-path constants, dense so it never chases an aggregate.
   std::vector<double> path_min_capacity_bps_;
@@ -160,8 +164,9 @@ class BatchSampler {
 
   // --- unique link-direction fields (deduplicated by stream id) ---
   std::unordered_map<std::uint64_t, std::uint32_t> field_index_;
-  /// The field's constants, inside the pinned aggregate that interned it.
-  std::vector<const FlowModel::LinkField*> f_field_;
+  /// The field's constants (a copy: the aggregate that interned the field
+  /// may be released).
+  std::vector<FlowModel::LinkField> f_field_;
   std::vector<std::uint64_t> f_stream_;
   std::vector<std::int64_t> f_epoch_ns_;
   std::vector<int> f_horizon_;

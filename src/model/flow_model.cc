@@ -20,15 +20,16 @@ std::uint64_t next_flow_model_tag() {
 namespace {
 
 // Per-thread memo of eval_field results, keyed by the link direction's
-// innovation stream id. The value is a pure function of (model, topology
-// mutation epoch, stream, t); the tag comparison is exact, so a hit returns
-// the same bits a recompute would. Shared links — access links on every
-// overlay leg, common backbone hops — are evaluated once per (thread,
-// timestep) instead of once per path traversal. A default entry never
-// hits: model tags start at 1.
+// innovation stream id. The value is a pure function of (model, stream, t,
+// the direction's events); events are append-only, so their count stands
+// for the list, and the comparison is exact: a hit returns the same bits a
+// recompute would. Shared links — access links on every overlay leg,
+// common backbone hops — are evaluated once per (thread, timestep) instead
+// of once per path traversal. A default entry never hits: model tags start
+// at 1.
 struct FieldMemoEntry {
   std::uint64_t model = 0;
-  std::uint64_t epoch = 0;
+  std::size_t events = 0;
   std::int64_t t_ns = 0;
   FlowModel::LinkEval eval;
 };
@@ -59,14 +60,24 @@ double ar1_sum(const FlowModel::LinkField& f, Time t) {
   return acc;
 }
 
+// The events to apply to `f`: its direction's list, or null while the
+// world has none.
+const std::vector<topo::LinkEvent>* field_events(const FlowModel::LinkField& f) {
+  if (f.world_events == nullptr || f.world_events->empty()) return nullptr;
+  return f.events;
+}
+
 // Utilization of `f` given its AR(1) sum: the stationary value, clamped,
 // plus the diurnal swing and any active transient boosts, clamped again.
-double field_utilization(const FlowModel::LinkField& f, double acc, Time t) {
+double field_utilization(const FlowModel::LinkField& f, double acc, Time t,
+                         const std::vector<topo::LinkEvent>* events) {
   double u = f.bg.mean_util + acc * f.stationary_sd / f.sqrt_w2;
   u = std::clamp(u, 0.0, 0.98);
   double out = u + net::diurnal_component(f.bg, t);
-  for (const auto& ev : f.events) {
-    if (t >= ev.from && t < ev.until) out += ev.util_boost;
+  if (events != nullptr) {
+    for (const auto& ev : *events) {
+      if (t >= ev.from && t < ev.until) out += ev.util_boost;
+    }
   }
   return std::clamp(out, 0.0, 0.98);
 }
@@ -138,28 +149,30 @@ FlowModel::LinkField FlowModel::make_link_field(int link_id,
   }
   f.stationary_sd = f.bg.sigma / std::sqrt(std::max(1e-9, 1.0 - f.a * f.a));
   f.sqrt_w2 = std::sqrt(w2_sum);
-  for (const auto& ev : topo_->events()) {
-    if (ev.link_id == link_id && ev.forward == forward) f.events.push_back(ev);
-  }
+  f.events = &topo_->link_events(link_id, forward);
+  f.world_events = &topo_->events();
   return f;
 }
 
 double FlowModel::utilization(int link_id, bool forward, Time t) const {
   const LinkField f = make_link_field(link_id, forward);
-  return field_utilization(f, ar1_sum(f, t), t);
+  return field_utilization(f, ar1_sum(f, t), t, field_events(f));
 }
 
 FlowModel::LinkEval FlowModel::eval_field(const LinkField& f, double acc,
                                           Time t) {
-  const double u = field_utilization(f, acc, t);
+  const std::vector<topo::LinkEvent>* events = field_events(f);
+  const double u = field_utilization(f, acc, t, events);
   LinkEval e;
   // Gray-failure loss events compose multiplicatively onto the survival
   // factor; with no active event the operation sequence is unchanged, so
   // event-free samples keep their exact bits.
   e.one_minus_loss = 1.0 - net::loss_from_utilization(f.bg, u);
-  for (const auto& ev : f.events) {
-    if (ev.loss_boost != 0.0 && t >= ev.from && t < ev.until) {
-      e.one_minus_loss *= (1.0 - ev.loss_boost);
+  if (events != nullptr) {
+    for (const auto& ev : *events) {
+      if (ev.loss_boost != 0.0 && t >= ev.from && t < ev.until) {
+        e.one_minus_loss *= (1.0 - ev.loss_boost);
+      }
     }
   }
   e.delay_ms = f.delay_ms;
@@ -185,31 +198,29 @@ std::shared_ptr<const FlowModel::PathAggregates> FlowModel::build_aggregates(
 
 std::shared_ptr<const FlowModel::PathAggregates> FlowModel::aggregates(
     const topo::PathRef& path) const {
-  const std::uint64_t epoch = topo_->mutation_epoch();
+  const std::uint64_t key = topo::PathCache::key_of(*path);
   {
     std::shared_lock<std::shared_mutex> lk(agg_mu_);
-    if (agg_epoch_ == epoch) {
-      auto it = agg_cache_.find(path.get());
-      if (it != agg_cache_.end()) return it->second;
-    }
+    auto it = agg_cache_.find(key);
+    if (it != agg_cache_.end() && it->second->path == path) return it->second;
   }
   // Build outside the lock; the first insert wins on a race (identical
-  // aggregates either way — they are a pure function of path and epoch).
+  // aggregates either way — they are a pure function of the path).
   auto agg = build_aggregates(path);
   std::unique_lock<std::shared_mutex> lk(agg_mu_);
-  if (agg_epoch_ != epoch) {
-    agg_cache_.clear();
-    agg_epoch_ = epoch;
-  }
-  return agg_cache_.emplace(path.get(), std::move(agg)).first->second;
+  std::shared_ptr<const PathAggregates>& slot = agg_cache_[key];
+  // A newer object for the key (its route moved) replaces the older one.
+  if (slot == nullptr || slot->path != path) slot = std::move(agg);
+  return slot;
 }
 
 FlowModel::LinkEval FlowModel::memo_eval(const LinkField& f, Time t) const {
-  const std::uint64_t epoch = topo_->mutation_epoch();
   FieldMemoEntry& memo = field_memo()[f.stream];
-  if (memo.model != model_tag_ || memo.epoch != epoch || memo.t_ns != t.ns()) {
+  const std::vector<topo::LinkEvent>* active = field_events(f);
+  const std::size_t events = active != nullptr ? active->size() : 0;
+  if (memo.model != model_tag_ || memo.events != events || memo.t_ns != t.ns()) {
     memo.model = model_tag_;
-    memo.epoch = epoch;
+    memo.events = events;
     memo.t_ns = t.ns();
     memo.eval = eval_field(f, ar1_sum(f, t), t);
   }

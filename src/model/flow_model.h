@@ -79,8 +79,9 @@ void pftk_throughput_batch(simd::Level level, std::size_t n,
 /// Thread-safety: `utilization` and `sample` are const and safe to call
 /// concurrently (`sample` caches through a lock-guarded aggregate memo and
 /// a per-thread field memo) — the utilization at (link, direction, t) is a
-/// pure function of the model seed, so concurrent measurements see one
-/// consistent world regardless of query order or thread count. The
+/// pure function of the model seed and the direction's events, so
+/// concurrent measurements see one consistent world regardless of query
+/// order or thread count. The
 /// throughput predictors draw measurement noise: pass an explicit
 /// `sim::DrawStream` (e.g. a per-pair stream) from parallel code; the
 /// overloads without one use the model's own serial stream and are NOT
@@ -110,7 +111,8 @@ class FlowModel {
   static PathMetrics concat(const PathMetrics& a, const PathMetrics& b);
 
   /// Static per-link constants of one directed traversal, precomputed at
-  /// aggregate-build time so `sample` touches no topology state.
+  /// aggregate-build time so `sample` touches no topology state beyond the
+  /// direction's event list.
   struct LinkField {
     net::BackgroundParams bg;   ///< direction-resolved condition (copy)
     double delay_ms = 0.0;
@@ -122,11 +124,19 @@ class FlowModel {
     int horizon = 1;            ///< truncation length of the weighted sum
     double stationary_sd = 0.0;
     double sqrt_w2 = 1.0;       ///< sqrt of the truncated weight norm
-    std::vector<topo::LinkEvent> events;  ///< transients on this direction
+    /// The direction's transients (Internet::link_events), read live: an
+    /// event added later applies without rebuilding anything derived from
+    /// the field. `world_events` (Internet::events) gates the read: while
+    /// the world has no event at all, evaluation touches only that one
+    /// shared list header, not the direction's own.
+    const std::vector<topo::LinkEvent>* events = nullptr;
+    const std::vector<topo::LinkEvent>* world_events = nullptr;
   };
 
   /// Precomputed static aggregates of one interned path: the quantities
-  /// the per-sample loop would otherwise re-derive on every call.
+  /// the per-sample loop would otherwise re-derive on every call. A pure
+  /// function of the path object (events are read through the fields), so
+  /// aggregates never go stale; a path whose route moves is a new object.
   struct PathAggregates {
     topo::PathRef path;          ///< pins the keying pointer alive
     int hop_count = 0;
@@ -172,9 +182,9 @@ class FlowModel {
     }
   };
 
-  /// The (memoized) aggregates of an interned path. Thread-safe; entries
-  /// are invalidated when the Internet's mutation_epoch advances (transient
-  /// events added, BGP failures injected).
+  /// The (memoized) aggregates of an interned path. Thread-safe. The memo
+  /// holds the aggregates of one path object per PathCache key: asking for
+  /// a key's new object (its route moved) replaces the old one.
   std::shared_ptr<const PathAggregates> aggregates(const topo::PathRef& path) const;
 
   // --- Throughput predictors (bit/s), with measurement noise ---
@@ -248,15 +258,13 @@ class FlowModel {
   sim::DrawStream draws_;  ///< serial stream backing the legacy overloads only
   TcpModelParams params_;
 
-  // Per-path aggregate memo, keyed on the interned path's address (the
-  // stored PathRef inside each entry keeps that address from being
-  // recycled). agg_epoch_ tracks the Internet mutation epoch the entries
-  // were built against; a mismatch clears the memo lazily.
+  // Per-path aggregate memo: one entry per PathCache key, valid for the
+  // path object it pins (a hit compares the object), so a route move
+  // replaces its key's entry instead of growing the memo.
   mutable std::shared_mutex agg_mu_;
-  mutable std::unordered_map<const topo::RouterPath*,
+  mutable std::unordered_map<std::uint64_t,
                              std::shared_ptr<const PathAggregates>>
       agg_cache_;
-  mutable std::uint64_t agg_epoch_ = 0;  // guarded by agg_mu_
 };
 
 }  // namespace cronets::model

@@ -43,6 +43,7 @@ OverlayGraph::OverlayGraph(topo::Internet* topo, const model::FlowModel* flow,
       std::vector<int> flipped;
       refresh_liveness(&flipped);
       ++liveness_epoch_;
+      if (!flipped.empty()) ++reach_version_;
       // A flipped DC's edges are re-probed next round, so a recovering DC
       // has fresh estimates the moment it is back up.
       for (int node : flipped) mark_node_edges_dirty(node);
@@ -178,8 +179,9 @@ void OverlayGraph::measure(sim::Time t) {
     pending_dirty_.resize(w);
   }
 
-  const bool reset = sampler_.begin_batch();
-  if (reset || !handles_valid_) {
+  // Intern the edges once: a backbone segment between two DC VMs reads no
+  // routing state, so no route move ever replaces it.
+  if (!handles_valid_) {
     std::size_t k = 0;
     for (int i = 0; i < n_; ++i) {
       for (int j = 0; j < n_; ++j) {
@@ -253,6 +255,7 @@ void OverlayGraph::measure(sim::Time t) {
         e.ewma_bps = v;
         e.ewma_delay_ms = mm.rtt_ms;
         e.measured = true;
+        ++reach_version_;  // RoutePlane::route's fallback edge now exists
       }
       // Re-latch the policy-facing metrics only past the threshold. A
       // fresh edge latches on first sight (|x - 0| > th*0 for any x > 0).

@@ -81,8 +81,14 @@ class OverlayGraph {
   }
   bool node_up(int i) const { return up_[static_cast<std::size_t>(i)] != 0; }
   /// Bumped by every BGP adjacency change (the only mutation that can
-  /// change node liveness). Part of RoutePlane::route_version.
+  /// change node liveness); a moved epoch makes the next policy round a
+  /// full refresh.
   std::uint64_t liveness_epoch() const { return liveness_epoch_; }
+  /// Bumped when a node's liveness actually flips or an edge is measured
+  /// for the first time: every graph input of RoutePlane::route besides
+  /// the agents' tables. Part of RoutePlane::route_version, so a cached
+  /// composition is stale exactly when its version moved.
+  std::uint64_t reach_version() const { return reach_version_; }
 
   /// One measurement round at time `t`: probe every dirty edge plus the
   /// budgeted most-stale due edges, fold the samples into the EWMA
@@ -157,6 +163,7 @@ class OverlayGraph {
   std::unordered_map<int, int> node_of_ep_;
   std::vector<char> up_;
   std::uint64_t liveness_epoch_ = 0;
+  std::uint64_t reach_version_ = 0;
   int listener_id_ = -1;
   int rounds_measured_ = 0;
 

@@ -149,10 +149,17 @@ bool RoutePlane::route(int entry_ep, int exit_ep,
 
 double RoutePlane::route_bottleneck_bps(
     const std::vector<int>& via_eps) const {
+  std::vector<int> nodes;
+  nodes.reserve(via_eps.size());
+  for (const int ep : via_eps) nodes.push_back(graph_.node_of_ep(ep));
+  return nodes_bottleneck_bps(nodes);
+}
+
+double RoutePlane::nodes_bottleneck_bps(const std::vector<int>& nodes) const {
   double bottleneck = -1.0;
-  for (std::size_t k = 1; k < via_eps.size(); ++k) {
-    const int i = graph_.node_of_ep(via_eps[k - 1]);
-    const int j = graph_.node_of_ep(via_eps[k]);
+  for (std::size_t k = 1; k < nodes.size(); ++k) {
+    const int i = nodes[k - 1];
+    const int j = nodes[k];
     if (i < 0 || j < 0 || !graph_.edge_measured(i, j)) return 0.0;
     const double bps = graph_.ewma_bps(i, j);
     if (bottleneck < 0.0 || bps < bottleneck) bottleneck = bps;

@@ -89,24 +89,32 @@ class RoutePlane {
   /// Min EWMA backbone rate over the chain's consecutive edges (0 when
   /// any edge is unmeasured).
   double route_bottleneck_bps(const std::vector<int>& via_eps) const;
+  /// Same, over the chain's node indices.
+  double nodes_bottleneck_bps(const std::vector<int>& nodes) const;
 
   /// Changes whenever a consumer's composed routes may be stale: bumped by
-  /// table changes and by DC liveness flips.
+  /// table changes, DC liveness flips and first edge measurements (the
+  /// graph's reach_version).
   std::uint64_t route_version() const {
-    return table_version_ + graph_.liveness_epoch();
+    return table_version_ + graph_.reach_version();
   }
 
   /// Per-pair staleness: the route() walk toward `exit_ep` reads only the
-  /// table column of its exit node (plus liveness), so a consumer caching
-  /// that pair's chain needs to recompose only when this moves. Identical
-  /// between incremental and full modes — both derive destination versions
-  /// from the same bitwise change trajectory. Falls back to the global
-  /// route_version() for non-DC endpoints.
+  /// table column of its exit node plus the graph's liveness and measured
+  /// edges, so a consumer caching that pair's chain needs to recompose
+  /// only when this moves — and may share one composition per (entry,
+  /// exit, version). Identical between incremental and full modes — both
+  /// derive destination versions from the same bitwise change trajectory.
+  /// Falls back to the global route_version() for non-DC endpoints.
   std::uint64_t pair_route_version(int exit_ep) const {
     const int exit = graph_.node_of_ep(exit_ep);
     if (exit < 0) return route_version();
-    return dest_version_[static_cast<std::size_t>(exit)] +
-           graph_.liveness_epoch();
+    return node_route_version(exit);
+  }
+  /// pair_route_version by exit node index.
+  std::uint64_t node_route_version(int exit_node) const {
+    return dest_version_[static_cast<std::size_t>(exit_node)] +
+           graph_.reach_version();
   }
 
   /// Order-sensitive hash over every agent's full table and virtual queues

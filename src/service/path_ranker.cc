@@ -15,16 +15,44 @@ bool path_uses_adjacency(const topo::RouterPath& path, int as_a, int as_b) {
 
 PathRanker::PathRanker(topo::Internet* topo, RankerConfig cfg,
                        std::vector<int> overlay_eps)
-    : topo_(topo), cfg_(cfg), overlay_eps_(std::move(overlay_eps)) {}
+    : topo_(topo),
+      cfg_(cfg),
+      overlay_eps_(std::move(overlay_eps)),
+      path_version_(topo->path_cache().version()) {
+  const route::RoutePlane* plane = cfg_.route_plane;
+  for (std::size_t i = 0; i < overlay_eps_.size(); ++i) {
+    const int ep = overlay_eps_[i];
+    slot_of_ep_.emplace(ep, static_cast<int>(i));
+    const int node = plane != nullptr ? plane->graph().node_of_ep(ep) : -1;
+    slot_node_.push_back(node);
+  }
+  if (plane != nullptr) {
+    for (int n = 0; n < plane->graph().size(); ++n) {
+      plane_as_.push_back(topo_->endpoint(plane->graph().node_ep(n)).as_id);
+    }
+  }
+  const std::size_t n = overlay_eps_.size();
+  probe_split_.resize(n);
+  probe_leg1_.resize(n);
+  probe_leg2_.resize(n);
+  leg1_hit_.resize(n);
+  leg2_hit_.resize(n);
+  slot_candidate_.resize(n);
+}
 
 int PathRanker::add_pair(int src, int dst) {
   const auto [it, inserted] =
       index_.emplace(sim::pack_pair(src, dst), static_cast<int>(pairs_.size()));
   if (!inserted) return it->second;
+  sync_paths();  // moves logged so far predate this pair's paths
   PairState p;
   p.src = src;
   p.dst = dst;
   build_candidates(&p);
+  if (indexed_) {
+    pairs_by_src_[src].push_back(it->second);
+    pairs_by_dst_[dst].push_back(it->second);
+  }
   pairs_.push_back(std::move(p));
   return it->second;
 }
@@ -34,20 +62,19 @@ int PathRanker::find_pair(int src, int dst) const {
   return it == index_.end() ? -1 : it->second;
 }
 
-void PathRanker::build_candidates(PairState* p) const {
+void PathRanker::build_candidates(PairState* p) {
   p->candidates.clear();
   Candidate direct;
   direct.kind = core::PathKind::kDirect;
-  direct.path = topo_->cached_path(p->src, p->dst);
   price_candidate(*p, &direct);
   p->candidates.push_back(std::move(direct));
-  for (int o : overlay_eps_) {
+  for (std::size_t i = 0; i < overlay_eps_.size(); ++i) {
+    const int o = overlay_eps_[i];
     if (o == p->src || o == p->dst) continue;
     Candidate c;
     c.kind = core::PathKind::kSplitOverlay;
     c.overlay_ep = o;
-    c.path = topo_->cached_path(p->src, o);
-    c.leg2 = topo_->cached_path(o, p->dst);
+    c.entry_slot = static_cast<int>(i);
     price_candidate(*p, &c);
     p->candidates.push_back(std::move(c));
   }
@@ -58,38 +85,136 @@ void PathRanker::build_candidates(PairState* p) const {
   // measurement draws — rankings with the plane off are bitwise unchanged.
   const route::RoutePlane* plane = cfg_.route_plane;
   if (plane != nullptr && plane->enabled()) {
-    for (int oa : overlay_eps_) {
-      if (oa == p->src || oa == p->dst) continue;
-      if (plane->graph().node_of_ep(oa) < 0) continue;
-      for (int ob : overlay_eps_) {
-        if (ob == oa || ob == p->src || ob == p->dst) continue;
-        if (plane->graph().node_of_ep(ob) < 0) continue;
+    for (std::size_t ia = 0; ia < overlay_eps_.size(); ++ia) {
+      const int oa = overlay_eps_[ia];
+      if (oa == p->src || oa == p->dst || slot_node_[ia] < 0) continue;
+      for (std::size_t ib = 0; ib < overlay_eps_.size(); ++ib) {
+        const int ob = overlay_eps_[ib];
+        if (ob == oa || ob == p->src || ob == p->dst || slot_node_[ib] < 0) {
+          continue;
+        }
         Candidate c;
         c.kind = core::PathKind::kMultiHop;
         c.overlay_ep = oa;
         c.exit_ep = ob;
-        refresh_multihop(*p, &c);
+        c.entry_slot = static_cast<int>(ia);
+        c.exit_slot = static_cast<int>(ib);
+        set_chain(*p, &c);
         p->candidates.push_back(std::move(c));
       }
     }
   }
+  resolve_paths(p);
   p->best = 0;
   p->order_dirty = true;
 }
 
-void PathRanker::refresh_multihop(const PairState& p, Candidate* c) const {
-  const route::RoutePlane* plane = cfg_.route_plane;
-  c->via.clear();
-  c->mids.clear();
-  c->path = topo_->cached_path(p.src, c->overlay_ep);
-  c->leg2 = topo_->cached_path(c->exit_ep, p.dst);
-  if (plane == nullptr) return;
-  if (plane->route(c->overlay_ep, c->exit_ep, &c->via)) {
-    plane->composer().mid_segments(c->via, &c->mids);
+void PathRanker::resolve_paths(PairState* p) {
+  // One lookup per distinct path, a pair's 1 + 2 * overlays: the one-hop
+  // candidates (which precede the multi-hop ones) resolve the legs, and a
+  // multi-hop candidate shares the legs of its entry and exit VMs.
+  for (std::size_t ci = 0; ci < p->candidates.size(); ++ci) {
+    Candidate& c = p->candidates[ci];
+    if (c.kind == core::PathKind::kDirect) {
+      c.path = topo_->cached_path(p->src, p->dst);
+    } else if (c.kind == core::PathKind::kSplitOverlay) {
+      c.path = topo_->cached_path(p->src, c.overlay_ep);
+      c.leg2 = topo_->cached_path(c.overlay_ep, p->dst);
+      slot_candidate_[static_cast<std::size_t>(c.entry_slot)] = ci;
+    } else {
+      c.path = p->candidates[slot_candidate_[static_cast<std::size_t>(
+                                 c.entry_slot)]].path;
+      c.leg2 = p->candidates[slot_candidate_[static_cast<std::size_t>(
+                                 c.exit_slot)]].leg2;
+    }
   }
-  c->route_ver = plane->pair_route_version(c->exit_ep);
+  p->paths_stale = false;
+}
+
+void PathRanker::mark_stale(int idx) {
+  if (idx < 0) return;
+  PairState& p = pairs_[static_cast<std::size_t>(idx)];
+  if (p.paths_stale) return;
+  p.paths_stale = true;
+  stale_pairs_.push_back(idx);
+}
+
+void PathRanker::sync_paths() {
+  const topo::PathCache& cache = topo_->path_cache();
+  if (path_version_ == cache.version()) return;
+  if (!indexed_) {
+    // Pairs by endpoint, built on the first route move (not at setup).
+    for (std::size_t i = 0; i < pairs_.size(); ++i) {
+      pairs_by_src_[pairs_[i].src].push_back(static_cast<int>(i));
+      pairs_by_dst_[pairs_[i].dst].push_back(static_cast<int>(i));
+    }
+    indexed_ = true;
+  }
+  for (const std::uint64_t key : cache.moved_since(path_version_)) {
+    // Chains ride private-backbone segments, which never move.
+    if (topo::PathCache::key_backbone(key)) continue;
+    const int a = topo::PathCache::key_src(key);
+    const int b = topo::PathCache::key_dst(key);
+    mark_stale(find_pair(a, b));  // a direct path
+    if (slot_of_ep_.count(b) != 0) {  // leg 1 of pairs from a via VM b
+      const auto it = pairs_by_src_.find(a);
+      if (it != pairs_by_src_.end()) {
+        for (const int i : it->second) mark_stale(i);
+      }
+    }
+    if (slot_of_ep_.count(a) != 0) {  // leg 2 of pairs to b via VM a
+      const auto it = pairs_by_dst_.find(b);
+      if (it != pairs_by_dst_.end()) {
+        for (const int i : it->second) mark_stale(i);
+      }
+    }
+  }
+  path_version_ = cache.version();
+}
+
+void PathRanker::set_chain(const PairState& p, Candidate* c) {
+  const route::RoutePlane& plane = *cfg_.route_plane;
+  const econ::PricingBook* book = cfg_.econ.pricing;
+  const topo::Region dst_region = topo_->endpoint(p.dst).region;
+  // Without pricing a chain is the same toward every region.
+  const int region = book != nullptr ? static_cast<int>(dst_region) + 1 : 0;
+  const std::uint64_t ver = plane.node_route_version(
+      slot_node_[static_cast<std::size_t>(c->exit_slot)]);
+  auto& shared = chains_[sim::pack_pair(c->entry_slot * 8 + region, c->exit_slot)];
+  if (shared == nullptr || shared->route_ver != ver) {
+    auto chain = std::make_shared<MultiHopChain>();
+    if (plane.route(c->overlay_ep, c->exit_ep, &chain->via)) {
+      plane.composer().mid_segments(chain->via, &chain->mids);
+    }
+    chain->route_ver = ver;
+    for (const int ep : chain->via) {
+      chain->nodes.push_back(plane.graph().node_of_ep(ep));
+    }
+    if (book != nullptr && !chain->via.empty()) {
+      // The chain pays egress at every hop: backbone rate between
+      // consecutive VMs, transit rate leaving the exit VM toward dst.
+      const auto& via = chain->via;
+      for (std::size_t i = 0; i + 1 < via.size(); ++i) {
+        const topo::Region from = topo_->endpoint(via[i]).region;
+        const topo::Region to = topo_->endpoint(via[i + 1]).region;
+        const double rate =
+            econ::egress_usd_per_gb(*book, from, to, /*backbone=*/true);
+        chain->bills.push_back({via[i], to, core::PathKind::kMultiHop, rate});
+        chain->usd_per_gb += rate;
+      }
+      const topo::Region exit = topo_->endpoint(via.back()).region;
+      const double rate = econ::egress_usd_per_gb(*book, exit, dst_region,
+                                                  /*backbone=*/false);
+      chain->bills.push_back(
+          {via.back(), dst_region, core::PathKind::kMultiHop, rate});
+      chain->usd_per_gb += rate;
+    }
+    shared = std::move(chain);
+    ++chain_compositions_;
+  }
+  c->chain = shared;
   // The chain moved, so what it costs moved with it.
-  price_candidate(p, c);
+  c->usd_per_gb = shared->usd_per_gb;
 }
 
 void PathRanker::price_candidate(const PairState& p, Candidate* c) const {
@@ -104,32 +229,11 @@ void PathRanker::price_candidate(const PairState& p, Candidate* c) const {
     c->bills.push_back({-1, dst_region, core::PathKind::kDirect, 0.0});
     return;
   }
-  if (c->kind == core::PathKind::kSplitOverlay) {
-    const topo::Region vm = topo_->endpoint(c->overlay_ep).region;
-    const double rate = econ::egress_usd_per_gb(*book, vm, dst_region,
-                                                /*backbone=*/false);
-    c->bills.push_back({c->overlay_ep, dst_region, c->kind, rate});
-    c->usd_per_gb = rate;
-    return;
-  }
-  if (c->kind == core::PathKind::kMultiHop) {
-    if (c->via.empty()) return;  // no usable route: nothing to price
-    // The chain pays egress at every hop: backbone rate between
-    // consecutive VMs, transit rate leaving the exit VM toward dst.
-    for (std::size_t i = 0; i + 1 < c->via.size(); ++i) {
-      const topo::Region from = topo_->endpoint(c->via[i]).region;
-      const topo::Region to = topo_->endpoint(c->via[i + 1]).region;
-      const double rate =
-          econ::egress_usd_per_gb(*book, from, to, /*backbone=*/true);
-      c->bills.push_back({c->via[i], to, c->kind, rate});
-      c->usd_per_gb += rate;
-    }
-    const topo::Region exit = topo_->endpoint(c->via.back()).region;
-    const double rate = econ::egress_usd_per_gb(*book, exit, dst_region,
-                                                /*backbone=*/false);
-    c->bills.push_back({c->via.back(), dst_region, c->kind, rate});
-    c->usd_per_gb += rate;
-  }
+  const topo::Region vm = topo_->endpoint(c->overlay_ep).region;
+  const double rate = econ::egress_usd_per_gb(*book, vm, dst_region,
+                                              /*backbone=*/false);
+  c->bills.push_back({c->overlay_ep, dst_region, c->kind, rate});
+  c->usd_per_gb = rate;
 }
 
 double PathRanker::candidate_objective(const Candidate& c) const {
@@ -169,8 +273,27 @@ double PathRanker::candidate_objective(const Candidate& c) const {
 }
 
 bool PathRanker::apply_sample(int idx, const core::PairSample& s, sim::Time t) {
+  sync_paths();
   PairState& p = pairs_[static_cast<std::size_t>(idx)];
   assert(s.src == p.src && s.dst == p.dst);
+  if (p.paths_stale) {
+    resolve_paths(&p);
+    ++pairs_refreshed_;
+  }
+
+  // This probe's per-overlay values by overlay index (-1: not measured —
+  // the overlay is the pair's src or dst, or not in the sample).
+  std::fill(probe_split_.begin(), probe_split_.end(), -1.0);
+  std::fill(probe_leg1_.begin(), probe_leg1_.end(), -1.0);
+  std::fill(probe_leg2_.begin(), probe_leg2_.end(), -1.0);
+  for (const auto& o : s.overlays) {
+    const auto it = slot_of_ep_.find(o.overlay_ep);
+    if (it == slot_of_ep_.end()) continue;
+    const auto i = static_cast<std::size_t>(it->second);
+    if (probe_split_[i] < 0.0) probe_split_[i] = o.split_bps;
+    probe_leg1_[i] = o.leg1_bps;
+    probe_leg2_[i] = o.leg2_bps;
+  }
 
   // Raw per-candidate values of this probe ([0] = direct, then overlays in
   // candidate order; overlays matched by endpoint id, so a skipped overlay
@@ -187,44 +310,39 @@ bool PathRanker::apply_sample(int idx, const core::PairSample& s, sim::Time t) {
     } else if (c.kind == core::PathKind::kMultiHop) {
       const route::RoutePlane* plane = cfg_.route_plane;
       if (plane == nullptr) continue;
-      // The table column or liveness behind this candidate's route moved
-      // since it was read: re-read before scoring so the score matches the
-      // route sessions would actually ride. Per-destination versions keep
-      // unrelated table churn from re-composing every candidate.
-      if (c.route_ver != plane->pair_route_version(c.exit_ep)) {
-        refresh_multihop(p, &c);
+      // The table column, liveness or measured edges behind this
+      // candidate's route moved since it was read: take the current chain
+      // before scoring so the score matches the route sessions would
+      // actually ride. Per-destination versions keep unrelated table churn
+      // from re-composing every candidate.
+      if (c.chain->route_ver !=
+          plane->node_route_version(
+              slot_node_[static_cast<std::size_t>(c.exit_slot)])) {
+        set_chain(p, &c);
       }
       // Compose from the one-hop probe's per-leg rates: leg 1 of the entry
       // VM's split sample, leg 2 of the exit VM's, and the plane's EWMA
       // bottleneck across the backbone hops. One 0.97 split-proxy haircut
       // per VM in the chain (the one-hop relay pays exactly one).
-      double leg1 = -1.0, leg2 = -1.0;
-      for (const auto& o : s.overlays) {
-        if (o.overlay_ep == c.overlay_ep) leg1 = o.leg1_bps;
-        if (o.overlay_ep == c.exit_ep) leg2 = o.leg2_bps;
-      }
+      const double leg1 = probe_leg1_[static_cast<std::size_t>(c.entry_slot)];
+      const double leg2 = probe_leg2_[static_cast<std::size_t>(c.exit_slot)];
       if (leg1 < 0.0 || leg2 < 0.0) continue;  // an end VM skipped this probe
-      if (c.via.empty()) {
+      const MultiHopChain& chain = *c.chain;
+      if (chain.via.empty()) {
         raw = 0.0;  // no usable plane route right now
       } else {
         raw = std::min(leg1, leg2);
-        raw = std::min(raw, plane->route_bottleneck_bps(c.via));
-        for (std::size_t v = 0; v < c.via.size(); ++v) raw *= 0.97;
-        for (int ep : c.via) {
-          const int node = plane->graph().node_of_ep(ep);
+        raw = std::min(raw, plane->nodes_bottleneck_bps(chain.nodes));
+        for (std::size_t v = 0; v < chain.via.size(); ++v) raw *= 0.97;
+        for (const int node : chain.nodes) {
           if (node < 0 || !plane->graph().node_up(node)) raw = 0.0;
         }
-        for (const auto& mid : c.mids) {
+        for (const auto& mid : chain.mids) {
           if (mid && !mid->valid) raw = 0.0;
         }
       }
     } else {
-      for (const auto& o : s.overlays) {
-        if (o.overlay_ep == c.overlay_ep) {
-          raw = o.split_bps;
-          break;
-        }
-      }
+      raw = probe_split_[static_cast<std::size_t>(c.entry_slot)];
     }
     if (raw < 0.0) continue;  // not measured this probe
     // Unreachable candidate (no policy route, or a leg crosses a failed
@@ -287,45 +405,55 @@ bool PathRanker::apply_sample(int idx, const core::PairSample& s, sim::Time t) {
   return p.best != prev_best;
 }
 
-void PathRanker::refresh_paths(int idx) {
-  PairState& p = pairs_[static_cast<std::size_t>(idx)];
-  for (Candidate& c : p.candidates) {
-    if (c.kind == core::PathKind::kDirect) {
-      c.path = topo_->cached_path(p.src, p.dst);
-    } else if (c.kind == core::PathKind::kMultiHop) {
-      refresh_multihop(p, &c);
-    } else {
-      c.path = topo_->cached_path(p.src, c.overlay_ep);
-      c.leg2 = topo_->cached_path(c.overlay_ep, p.dst);
-    }
-    c.down = false;
-  }
-  p.order_dirty = true;
-}
-
 void PathRanker::mark_adjacency_down(int as_a, int as_b,
                                      std::vector<int>* affected) {
-  for (std::size_t i = 0; i < pairs_.size(); ++i) {
-    PairState& p = pairs_[i];
+  sync_paths();
+  // A pair whose paths are all current routes around the failed session
+  // (the PathCache re-expanded every entry crossing it), so only pairs
+  // still holding replaced paths need the leg check. A multi-hop chain is
+  // cut when it runs through a VM of as_a/as_b — its backbone mids stay
+  // "valid" (plain links, not adjacencies) through a DC outage, so the AS
+  // match on the via chain is what catches it — or when a mid crosses the
+  // session, which needs both ends to be plane ASes too.
+  const bool chains_exposed =
+      std::find(plane_as_.begin(), plane_as_.end(), as_a) != plane_as_.end() ||
+      std::find(plane_as_.begin(), plane_as_.end(), as_b) != plane_as_.end();
+  chain_hit_.clear();
+  const auto chain_cut = [&](const MultiHopChain& chain) {
+    const auto [it, fresh] = chain_hit_.emplace(&chain, false);
+    if (!fresh) return it->second;
+    bool cut = false;
+    for (const auto& mid : chain.mids) {
+      if (mid && path_uses_adjacency(*mid, as_a, as_b)) cut = true;
+    }
+    for (const int ep : chain.via) {
+      const int ep_as = topo_->endpoint(ep).as_id;
+      if (ep_as == as_a || ep_as == as_b) cut = true;
+    }
+    it->second = cut;
+    return cut;
+  };
+  const auto check_pair = [&](int i) {
+    PairState& p = pairs_[static_cast<std::size_t>(i)];
+    const bool legs = p.paths_stale;
+    if (!legs && !chains_exposed) return;
     bool hit = false;
     for (Candidate& c : p.candidates) {
-      bool uses = (c.path && path_uses_adjacency(*c.path, as_a, as_b)) ||
-                  (c.leg2 && path_uses_adjacency(*c.leg2, as_a, as_b));
-      for (const auto& mid : c.mids) {
-        if (!uses && mid && path_uses_adjacency(*mid, as_a, as_b)) uses = true;
-      }
-      // A DC outage downs every adjacency of the cloud AS; any multi-hop
-      // chain through a VM of that AS must drop immediately — its backbone
-      // mids stay "valid" (plain links, not adjacencies), so the AS match
-      // on the via chain is what catches it.
-      if (!uses && c.kind == core::PathKind::kMultiHop) {
-        for (int ep : c.via) {
-          const int ep_as = topo_->endpoint(ep).as_id;
-          if (ep_as == as_a || ep_as == as_b) {
-            uses = true;
-            break;
-          }
+      bool uses = false;
+      if (c.kind == core::PathKind::kDirect) {
+        uses = legs && path_uses_adjacency(*c.path, as_a, as_b);
+      } else if (c.kind == core::PathKind::kSplitOverlay) {
+        // The legs every multi-hop candidate through this VM shares.
+        const auto e = static_cast<std::size_t>(c.entry_slot);
+        if (legs) {
+          leg1_hit_[e] = path_uses_adjacency(*c.path, as_a, as_b);
+          leg2_hit_[e] = path_uses_adjacency(*c.leg2, as_a, as_b);
         }
+        uses = legs && (leg1_hit_[e] || leg2_hit_[e]);
+      } else {
+        uses = (legs && (leg1_hit_[static_cast<std::size_t>(c.entry_slot)] ||
+                         leg2_hit_[static_cast<std::size_t>(c.exit_slot)])) ||
+               (chains_exposed && chain_cut(*c.chain));
       }
       if (uses) {
         c.down = true;
@@ -334,9 +462,23 @@ void PathRanker::mark_adjacency_down(int as_a, int as_b,
     }
     if (hit) {
       p.order_dirty = true;  // down flags demote candidates in the order
-      if (affected) affected->push_back(static_cast<int>(i));
+      if (affected) affected->push_back(i);
     }
+  };
+  if (chains_exposed) {
+    for (std::size_t i = 0; i < pairs_.size(); ++i) check_pair(static_cast<int>(i));
+    return;
   }
+  // Only stale pairs can be hit: visit them in pair order, dropping the
+  // ones refreshed since they were listed.
+  std::sort(stale_pairs_.begin(), stale_pairs_.end());
+  stale_pairs_.erase(
+      std::remove_if(stale_pairs_.begin(), stale_pairs_.end(),
+                     [&](int i) {
+                       return !pairs_[static_cast<std::size_t>(i)].paths_stale;
+                     }),
+      stale_pairs_.end());
+  for (const int i : stale_pairs_) check_pair(i);
 }
 
 std::uint64_t PathRanker::partial_decision_fingerprint(
@@ -353,20 +495,24 @@ std::uint64_t PathRanker::partial_decision_fingerprint(
 
 void PathRanker::ranked_order(int idx, std::vector<int>* out) const {
   const PairState& p = pairs_[static_cast<std::size_t>(idx)];
-  out->clear();
+  // Sort precomputed (down, objective, index) keys: the objective is
+  // evaluated once per candidate, not once per comparison. The order is a
+  // strict total order on the keys, so the result is unique.
+  order_keys_.clear();
   for (int ci = 0; ci < static_cast<int>(p.candidates.size()); ++ci) {
-    if (ci != p.best) out->push_back(ci);
+    if (ci == p.best) continue;
+    const Candidate& c = p.candidates[static_cast<std::size_t>(ci)];
+    order_keys_.push_back({c.down, candidate_objective(c), ci});
   }
-  std::sort(out->begin(), out->end(), [&](int a, int b) {
-    const Candidate& ca = p.candidates[static_cast<std::size_t>(a)];
-    const Candidate& cb = p.candidates[static_cast<std::size_t>(b)];
-    if (ca.down != cb.down) return !ca.down;  // down candidates last
-    const double oa = candidate_objective(ca);
-    const double ob = candidate_objective(cb);
-    if (oa != ob) return oa > ob;
-    return a < b;
-  });
-  out->insert(out->begin(), p.best);
+  std::sort(order_keys_.begin(), order_keys_.end(),
+            [](const OrderKey& a, const OrderKey& b) {
+              if (a.down != b.down) return !a.down;  // down candidates last
+              if (a.objective != b.objective) return a.objective > b.objective;
+              return a.index < b.index;
+            });
+  out->clear();
+  out->push_back(p.best);
+  for (const OrderKey& k : order_keys_) out->push_back(k.index);
 }
 
 const std::vector<int>& PathRanker::admission_order(int idx) {

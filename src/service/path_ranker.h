@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -49,6 +50,22 @@ struct RankerConfig {
   econ::EconConfig econ;
 };
 
+/// One multi-hop route as composed from the routing plane: the DC
+/// endpoint chain entry..exit (>= 2 entries; empty = no usable route), the
+/// plane node of each, its interned backbone segments, the plane version
+/// it was read at (RoutePlane::pair_route_version of the exit), and — with
+/// the economics plane on — its price toward one destination region.
+/// Composed once per (entry, exit, destination region, version) per
+/// ranker and shared, immutable, by every candidate riding it.
+struct MultiHopChain {
+  std::vector<int> via;
+  std::vector<int> nodes;
+  std::vector<topo::PathRef> mids;
+  std::uint64_t route_ver = 0;
+  double usd_per_gb = 0.0;
+  std::vector<econ::BillCell> bills;
+};
+
 /// One candidate route of a (src, dst) pair: the direct policy path, a
 /// split-TCP relay through one overlay VM, or a multi-hop chain entering
 /// the cloud at `overlay_ep` and exiting at `exit_ep` along the routing
@@ -57,27 +74,41 @@ struct Candidate {
   core::PathKind kind = core::PathKind::kDirect;
   int overlay_ep = -1;        ///< kSplitOverlay/kMultiHop: entry VM
   int exit_ep = -1;           ///< kMultiHop only: exit VM
+  int entry_slot = -1;        ///< overlay index of overlay_ep (ranker list)
+  int exit_slot = -1;         ///< kMultiHop only: overlay index of exit_ep
   double score_bps = 0.0;     ///< EWMA-smoothed predicted throughput
   double last_bps = 0.0;      ///< most recent raw probe sample
   bool measured = false;      ///< at least one probe applied
   bool down = false;          ///< traverses a failed adjacency (await repin)
   topo::PathRef path;         ///< direct path, or leg src -> entry VM
   topo::PathRef leg2;         ///< overlay kinds: exit VM -> dst
-  /// kMultiHop: the plane route the score was composed against — the DC
-  /// endpoint chain (entry..exit, >= 2 entries; empty = no usable route),
-  /// its interned backbone segments, and the per-destination plane version
-  /// it was read at (stale version => re-read on the next probe).
-  std::vector<int> via;
-  std::vector<topo::PathRef> mids;
-  std::uint64_t route_ver = 0;
+  /// kMultiHop: the shared plane route the score was composed against
+  /// (stale version => re-read on the next probe). Never null.
+  std::shared_ptr<const MultiHopChain> chain;
   /// Economics plane (RankerConfig::econ.pricing set): what one GB of this
-  /// candidate's traffic costs, and the per-hop metering cells behind that
-  /// number — direct pays nothing, a one-hop relay pays transit egress at
-  /// its VM, a multi-hop chain pays backbone egress at every intermediate
-  /// hop plus transit at the exit. Recomputed whenever the candidate's
-  /// route is (re)built, so the price always matches the current chain.
+  /// candidate's traffic costs, and — direct and one-hop kinds — the
+  /// metering cell behind that number: direct pays nothing, a one-hop
+  /// relay pays transit egress at its VM, a multi-hop chain pays backbone
+  /// egress at every intermediate hop plus transit at the exit (its cells
+  /// live in the chain). Recomputed whenever the candidate's route is
+  /// (re)built, so the price always matches the current chain.
   double usd_per_gb = 0.0;
   std::vector<econ::BillCell> bills;
+
+  /// kMultiHop: the chain's DC endpoints; empty otherwise.
+  const std::vector<int>& via() const {
+    static const std::vector<int> kNone;
+    return chain ? chain->via : kNone;
+  }
+  /// kMultiHop: the chain's backbone segments; empty otherwise.
+  const std::vector<topo::PathRef>& mids() const {
+    static const std::vector<topo::PathRef> kNone;
+    return chain ? chain->mids : kNone;
+  }
+  /// The per-hop metering cells of this candidate's traffic.
+  const std::vector<econ::BillCell>& bill_cells() const {
+    return chain ? chain->bills : bills;
+  }
 };
 
 /// Ranked path table of one (src, dst) pair, plus the broker bookkeeping
@@ -89,7 +120,9 @@ struct PairState {
   int best = 0;                       ///< hysteresis-stable current choice
   sim::Time last_probe{-1};           ///< negative: never probed
   std::uint64_t probes = 0;
-  std::uint64_t route_epoch = 0;      ///< broker: epoch candidates were built at
+  /// A candidate's path was replaced in the PathCache since the pair
+  /// resolved them; the pair re-resolves before its next sample.
+  bool paths_stale = false;
   /// Session slots currently pinned to this pair (owned by SessionManager;
   /// order = admission order, with swap-removal on release).
   std::vector<std::uint32_t> sessions;
@@ -118,8 +151,8 @@ struct PairState {
   /// Cached admission order (see PathRanker::admission_order) plus its
   /// dirty bit — the heart of dirty-set incremental re-ranking. Set by
   /// every mutation that can change the ranking (apply_sample,
-  /// refresh_paths, mark_adjacency_down, candidate rebuilds); admissions
-  /// on a clean pair reuse the cached order with no sort.
+  /// mark_adjacency_down, candidate rebuilds); admissions on a clean pair
+  /// reuse the cached order with no sort.
   std::vector<int> order_cache;
   bool order_dirty = true;
 };
@@ -162,6 +195,12 @@ bool path_uses_adjacency(const topo::RouterPath& path, int as_a, int as_b);
 /// by smoothed predicted throughput, backed by interned topo::PathCache
 /// PathRefs. The ranker itself is passive — the ProbeScheduler decides when
 /// a pair is re-measured, the broker feeds samples in via `apply_sample`.
+///
+/// Route moves are scoped: the ranker follows the PathCache's moved-key
+/// log and re-resolves only the pairs whose direct path or legs moved, at
+/// their next sample; an unmoved pair's paths are already the cache's
+/// current entries. Multi-hop chains are composed once per (entry, exit,
+/// destination region, plane version) for the whole ranker and shared.
 class PathRanker {
  public:
   PathRanker(topo::Internet* topo, RankerConfig cfg,
@@ -182,17 +221,25 @@ class PathRanker {
   /// Fold a fresh measurement into the pair's smoothed scores and re-rank
   /// with hysteresis. Returns true when the best candidate changed (the
   /// caller migrates sessions). Also logs regret inputs when recording.
+  /// A pair whose paths moved re-resolves them first (smoothed scores
+  /// survive — the endpoints didn't move, only the route did — and this
+  /// sample corrects them). Every candidate the sample scores leaves with
+  /// `down` cleared; a probe of the ranker's full overlay set scores every
+  /// candidate, which is what lifts the failover marks.
   bool apply_sample(int idx, const core::PairSample& s, sim::Time t);
 
-  /// Re-intern every candidate path of the pair (after a route-changing
-  /// mutation) and clear `down` flags. Smoothed scores survive — the
-  /// endpoints didn't move, only the route did — and the next probe
-  /// corrects them.
-  void refresh_paths(int idx);
+  /// Follow the PathCache's moved-key log: mark every pair holding a
+  /// replaced path stale (PairState::paths_stale). apply_sample and
+  /// mark_adjacency_down do this themselves; an owner reacting to an
+  /// adjacency change calls it so the marks are current right away.
+  void sync_paths();
 
-  /// Append the indices of pairs with any candidate whose current interned
-  /// path crosses the AS adjacency (as_a, as_b); marks those candidates
-  /// `down` so no new session pins to them before the failover repin.
+  /// Append the indices of pairs with any candidate whose interned path
+  /// crosses the AS adjacency (as_a, as_b) that just failed; marks those
+  /// candidates `down` so no new session pins to them before the failover
+  /// repin. Only pairs holding paths the PathCache has since replaced can
+  /// cross it (a current path routes around a down session), plus
+  /// multi-hop chains through a VM of as_a/as_b.
   void mark_adjacency_down(int as_a, int as_b, std::vector<int>* affected);
 
   /// Candidate order for admission: current best first, then the remaining
@@ -225,6 +272,10 @@ class PathRanker {
   /// Cached-order rebuilds / clean reuses since construction.
   std::uint64_t order_rebuilds() const { return order_rebuilds_; }
   std::uint64_t order_hits() const { return order_hits_; }
+  /// Reporting only: pairs re-resolved after a route move, and multi-hop
+  /// chains composed, since construction.
+  std::uint64_t pairs_refreshed() const { return pairs_refreshed_; }
+  std::uint64_t chain_compositions() const { return chain_compositions_; }
 
   /// Sum of this ranker's pair_decision_term contributions, keyed by
   /// `local_to_global` (identity when null). Per-shard partials merged in
@@ -234,21 +285,47 @@ class PathRanker {
       const std::vector<int>* local_to_global = nullptr) const;
 
  private:
-  void build_candidates(PairState* p) const;
-  /// Re-read the plane's current route for a kMultiHop candidate and
-  /// re-intern its segments (entry/exit access legs + backbone mids).
-  void refresh_multihop(const PairState& p, Candidate* c) const;
-  /// Recompute the candidate's $/GB and billing cells from the pricing
+  void build_candidates(PairState* p);
+  /// Resolve the candidates' paths from the PathCache.
+  void resolve_paths(PairState* p);
+  void mark_stale(int idx);
+  /// Point a kMultiHop candidate at the ranker's current chain for its
+  /// (entry, exit, destination region), composing it if stale.
+  void set_chain(const PairState& p, Candidate* c);
+  /// The direct/one-hop candidate's $/GB and billing cell from the pricing
   /// book (no-op with the economics plane off).
   void price_candidate(const PairState& p, Candidate* c) const;
 
   topo::Internet* topo_;
   RankerConfig cfg_;
   std::vector<int> overlay_eps_;
+  std::unordered_map<int, int> slot_of_ep_;  ///< overlay ep -> overlay index
+  std::vector<int> slot_node_;  ///< overlay index -> plane node (-1: none)
+  std::vector<int> plane_as_;   ///< ASes of the plane's nodes
   std::vector<PairState> pairs_;
   std::unordered_map<std::uint64_t, int> index_;  // (src,dst) -> pair idx
+  std::unordered_map<int, std::vector<int>> pairs_by_src_, pairs_by_dst_;
+  bool indexed_ = false;  ///< pairs_by_* built (on the first route move)
+  std::uint64_t path_version_ = 0;  ///< PathCache version synced to
+  std::vector<int> stale_pairs_;    ///< may hold pairs refreshed since
+  /// key: (entry slot, exit slot, destination region) -> current chain.
+  std::unordered_map<std::uint64_t, std::shared_ptr<const MultiHopChain>>
+      chains_;
+  // Per-call scratch.
+  std::vector<double> probe_split_, probe_leg1_, probe_leg2_;
+  std::vector<char> leg1_hit_, leg2_hit_;
+  std::vector<std::size_t> slot_candidate_;  ///< overlay index -> one-hop
+  std::unordered_map<const MultiHopChain*, bool> chain_hit_;
+  struct OrderKey {
+    bool down;
+    double objective;
+    int index;
+  };
+  mutable std::vector<OrderKey> order_keys_;
   std::uint64_t order_rebuilds_ = 0;
   std::uint64_t order_hits_ = 0;
+  std::uint64_t pairs_refreshed_ = 0;
+  std::uint64_t chain_compositions_ = 0;
 };
 
 }  // namespace cronets::service

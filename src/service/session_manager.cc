@@ -74,7 +74,7 @@ void SessionManager::reserve(const Candidate& c, double demand_bps,
     // A multi-hop session relays through every VM on its chain; each one's
     // NIC carries the session's traffic once in and once out, same as a
     // one-hop relay, so each reserves the full demand.
-    s->reserved_eps = c.via;
+    s->reserved_eps = c.via();
   }
   for (int ep : s->reserved_eps) {
     ledger_.add(ep, demand_bps);
@@ -82,7 +82,7 @@ void SessionManager::reserve(const Candidate& c, double demand_bps,
   }
   // Billing snapshot + spend-rate reservation (no-op with pricing off:
   // candidates then carry no bills and a zero rate).
-  s->bills = c.bills;
+  s->bills = c.bill_cells();
   s->usd_per_gb = c.usd_per_gb;
   s->billed_until = now;
   s->cost_rate_usd_per_hour = spend_rate_usd_per_hour(demand_bps, c.usd_per_gb);
@@ -161,8 +161,8 @@ int SessionManager::pick_candidate(PathRanker& ranker, int pair_idx,
       return shared_->fits(ep, demand_bps, cfg_.nic_capacity_bps);
     };
     const bool multihop = c.kind == core::PathKind::kMultiHop;
-    if (multihop && c.via.empty()) continue;  // no usable plane route now
-    if (multihop ? std::all_of(c.via.begin(), c.via.end(), fits)
+    if (multihop && c.via().empty()) continue;  // no usable plane route now
+    if (multihop ? std::all_of(c.via().begin(), c.via().end(), fits)
                  : fits(c.overlay_ep)) {
       if (denied) ++overlay_denied_;
       return ci;

@@ -31,7 +31,7 @@ int count_sessions_traversing(const PathRanker& ranker,
     const Candidate& c = p.candidates[static_cast<std::size_t>(s.candidate)];
     bool uses = (c.path && path_uses_adjacency(*c.path, as_a, as_b)) ||
                 (c.leg2 && path_uses_adjacency(*c.leg2, as_a, as_b));
-    for (const auto& mid : c.mids) {
+    for (const auto& mid : c.mids()) {
       if (!uses && mid && path_uses_adjacency(*mid, as_a, as_b)) uses = true;
     }
     if (uses) ++count;
@@ -57,7 +57,7 @@ void accumulate_transit_load(const topo::Internet& topo,
     const PairState& p = ranker.pair(s.pair);
     const Candidate& c = p.candidates[static_cast<std::size_t>(s.candidate)];
     if (c.path) count_path(*c.path);
-    for (const auto& mid : c.mids) {
+    for (const auto& mid : c.mids()) {
       if (mid) count_path(*mid);
     }
     if (c.leg2) count_path(*c.leg2);
@@ -141,7 +141,6 @@ int ShardedBroker::register_pair(int src, int dst) {
   const int s = shard_of(src, dst, num_shards());
   Shard& sh = *shards_[static_cast<std::size_t>(s)];
   const int local = sh.ranker.add_pair(src, dst);
-  sh.ranker.pair(local).route_epoch = route_epoch_;
   assert(static_cast<std::size_t>(local) == sh.local_to_global.size() &&
          "shard-local pair ids are dense and append-only");
   sh.local_to_global.push_back(gid);
@@ -302,10 +301,6 @@ int ShardedBroker::apply_probe(Shard& sh, int global_id, int local_idx,
                                const core::PairSample& s, sim::Time t,
                                bool force_repin) {
   PairState& p = sh.ranker.pair(local_idx);
-  if (p.route_epoch != route_epoch_) {
-    sh.ranker.refresh_paths(local_idx);
-    p.route_epoch = route_epoch_;
-  }
   const bool changed = sh.ranker.apply_sample(local_idx, s, t);
   if (changed) ++sh.flips;
   int moved = 0;
@@ -328,10 +323,13 @@ void ShardedBroker::on_mutation(const topo::Mutation& m) {
   if (m.kind != topo::Mutation::Kind::kAdjacencyChange) {
     return;  // transient congestion: rankings adapt through normal probing
   }
-  ++route_epoch_;
+  // Mark the pairs holding moved paths now; each re-resolves them at its
+  // next sample.
+  for (auto& sh : shards_) sh->ranker.sync_paths();
   if (m.up) {
     // Restored adjacency: age every ranking fleet-wide so the budgeted
-    // prober re-ranks over the coming ticks (paths re-interned lazily).
+    // prober re-ranks over the coming ticks (moved paths re-resolved
+    // lazily).
     for (auto& sh : shards_) {
       for (int i = 0; i < static_cast<int>(sh->ranker.size()); ++i) {
         sh->ranker.pair(i).last_probe = sim::Time{-1};

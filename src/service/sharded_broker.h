@@ -245,7 +245,6 @@ class ShardedBroker final : public ControlPlane {
   ProbeScheduler scheduler_;
   BrokerMonitor* monitor_ = nullptr;
   int listener_id_ = -1;
-  std::uint64_t route_epoch_ = 0;
 
   // Global pair directory: id allocation order is the workload's
   // registration order, independent of the partitioning.

@@ -19,21 +19,17 @@ Internet::Internet(const TopologyParams& params, const CloudParams& cloud)
     : params_(params), cloud_(cloud), rng_(params.seed) {
   generate(params);
   build_cloud(cloud);
-  // The interned-path cache invalidates itself through the observer
-  // mechanism like any other consumer of route-changing mutations. It is
-  // registered first, so every later listener's path queries already see
-  // the post-mutation routes.
-  add_mutation_listener([this](const Mutation& m) {
-    if (m.kind == Mutation::Kind::kAdjacencyChange) path_cache_.invalidate();
-  });
 }
 
 void Internet::add_event(const LinkEvent& ev) {
   events_.push_back(ev);
-  ++mutation_epoch_;  // derived per-path caches must recompute event lists
+  const std::size_t slot =
+      2 * static_cast<std::size_t>(ev.link_id) + (ev.forward ? 1 : 0);
+  if (ev.link_id >= 0 && slot < link_events_.size()) {
+    link_events_[slot].push_back(ev);
+  }
   Mutation m;
   m.kind = Mutation::Kind::kTransientEvent;
-  m.epoch = mutation_epoch_;
   m.event = ev;
   notify_mutation(m);
 }
@@ -185,6 +181,7 @@ int Internet::new_link(int router_a, int router_b, double capacity_bps,
   l.bg_fwd = draw_condition(is_core, cloud_grade || backbone, lon, t1_interconnect);
   l.bg_rev = draw_condition(is_core, cloud_grade || backbone, lon, t1_interconnect);
   links_.push_back(l);
+  link_events_.resize(2 * links_.size());
   return l.id;
 }
 
@@ -431,16 +428,16 @@ bool Internet::set_adjacency_up(int as_a, int as_b, bool up) {
     }
   }
   if (found) {
-    routing_.invalidate();
-    ++mutation_epoch_;
-    // Interned paths may route differently now; the PathCache drops them
-    // through its own mutation listener (registered first in the ctor).
+    // Refresh the routing tables, then re-expand exactly the interned paths
+    // whose route moved, before any listener queries a route.
+    Routing::Diff diff;
+    routing_.on_adjacency_change(as_a, as_b, up, &diff);
     Mutation m;
     m.kind = Mutation::Kind::kAdjacencyChange;
-    m.epoch = mutation_epoch_;
     m.as_a = as_a;
     m.as_b = as_b;
     m.up = up;
+    path_cache_.on_adjacency_change(as_a, as_b, diff);
     notify_mutation(m);
   }
   return found;
@@ -458,6 +455,19 @@ int Internet::dc_endpoint(const std::string& dc_name) const {
     if (cloud_.dcs[i].name == dc_name) return dc_endpoints_[i];
   }
   return -1;
+}
+
+int Internet::dc_slot(int ep) const {
+  for (std::size_t i = 0; i < dc_endpoints_.size(); ++i) {
+    if (dc_endpoints_[i] == ep) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+bool Internet::on_backbone(int dc_ep_a, int dc_ep_b) const {
+  const int ia = dc_slot(dc_ep_a);
+  const int ib = dc_slot(dc_ep_b);
+  return ia >= 0 && ib >= 0 && ia != ib;
 }
 
 int Internet::router_index(int as_id, int router_id) const {
@@ -512,6 +522,8 @@ RouterPath Internet::path(int ep_src, int ep_dst) {
   const Endpoint& s = endpoints_[ep_src];
   const Endpoint& d = endpoints_[ep_dst];
   RouterPath p;
+  p.src_ep = ep_src;
+  p.dst_ep = ep_dst;
   p.as_seq = routing_.as_path(s.as_id, d.as_id);
   if (p.as_seq.empty()) return p;
 
@@ -545,13 +557,13 @@ RouterPath Internet::path(int ep_src, int ep_dst) {
 }
 
 RouterPath Internet::backbone_path(int dc_ep_a, int dc_ep_b) {
-  // Locate the DC indices for the two endpoints.
-  int ia = -1, ib = -1;
-  for (std::size_t i = 0; i < dc_endpoints_.size(); ++i) {
-    if (dc_endpoints_[i] == dc_ep_a) ia = static_cast<int>(i);
-    if (dc_endpoints_[i] == dc_ep_b) ib = static_cast<int>(i);
+  const int ia = dc_slot(dc_ep_a);
+  const int ib = dc_slot(dc_ep_b);
+  if (ia < 0 || ib < 0 || ia == ib) {
+    RouterPath p = path(dc_ep_a, dc_ep_b);
+    p.backbone = true;
+    return p;
   }
-  if (ia < 0 || ib < 0 || ia == ib) return path(dc_ep_a, dc_ep_b);
 
   const Endpoint& s = endpoints_[dc_ep_a];
   const Endpoint& d = endpoints_[dc_ep_b];
@@ -561,6 +573,9 @@ RouterPath Internet::backbone_path(int dc_ep_a, int dc_ep_b) {
   const int lid = backbone_links_[ia * n + ib];
 
   RouterPath p;
+  p.src_ep = dc_ep_a;
+  p.dst_ep = dc_ep_b;
+  p.backbone = true;
   p.as_seq = {as_a.id, as_b.id};
   p.traversals.push_back(Traversal{s.access_link, false});
   p.routers.push_back(s.access_router);

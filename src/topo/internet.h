@@ -1,5 +1,6 @@
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -121,9 +122,9 @@ struct CloudParams {
 ///
 /// `to` and `as_path` are safe to call concurrently (the cache is guarded
 /// by a reader/writer lock; a miss computes outside the lock and the first
-/// insert wins, so all threads see one table). `invalidate` must not race
-/// with queries — topology mutations happen in the single-threaded setup
-/// phase between measurement sweeps.
+/// insert wins, so all threads see one table). `on_adjacency_change` must
+/// not race with queries — topology mutations happen in the
+/// single-threaded phase between measurement sweeps.
 class Routing {
  public:
   struct Entry {
@@ -132,11 +133,28 @@ class Routing {
     int cls = 0;     ///< 3=customer route, 2=peer, 1=provider, 4=self
   };
 
+  /// What one adjacency change moved: per destination AS whose cached
+  /// table changed, a flag per source AS whose next hop toward it changed.
+  /// Destinations absent from the map kept every entry.
+  using Diff = std::unordered_map<int, std::vector<char>>;
+
   explicit Routing(const std::vector<AsNode>* ases) : ases_(ases) {}
 
   const std::vector<Entry>& to(int dst_as);
   /// AS-level path [src, ..., dst]; empty if unreachable.
   std::vector<int> as_path(int src_as, int dst_as);
+
+  /// Bring every cached table up to date after the adjacency (as_a, as_b)
+  /// went down or up, recording in `diff` the next hops that moved. A
+  /// failure recomputes only the tables in which some AS routed over the
+  /// failed session (the computation never selected it elsewhere, so
+  /// removing it drops only losing candidates); a restore recomputes every
+  /// cached table, since any AS may now prefer the restored session.
+  void on_adjacency_change(int as_a, int as_b, bool up, Diff* diff);
+
+  /// Drop every cached table (micro-benchmarks time cold computations).
+  /// Not a mutation hook: paths interned from the dropped tables are not
+  /// re-checked by the next adjacency change.
   void invalidate() {
     std::unique_lock<std::shared_mutex> lk(mu_);
     cache_.clear();
@@ -169,15 +187,15 @@ struct LinkEvent {
 /// mutation observers. Two kinds exist today: transient link-level
 /// congestion episodes (`add_event`) and BGP adjacency failures/restores
 /// (`set_adjacency_up`). Observers receive the details synchronously, after
-/// the mutation has been applied and `mutation_epoch` bumped, so they can
-/// invalidate derived state eagerly instead of polling the epoch.
+/// the mutation has been applied — for an adjacency change, after the
+/// routing tables and the PathCache were brought up to date — so they can
+/// react eagerly instead of polling.
 struct Mutation {
   enum class Kind {
     kTransientEvent,   ///< add_event: utilization boost on one link direction
     kAdjacencyChange,  ///< set_adjacency_up: routes may differ now
   };
   Kind kind = Kind::kTransientEvent;
-  std::uint64_t epoch = 0;  ///< mutation_epoch() after this mutation
 
   LinkEvent event{};        ///< kTransientEvent only
   int as_a = -1;            ///< kAdjacencyChange only
@@ -218,7 +236,7 @@ class Internet {
   RouterPath path(int ep_src, int ep_dst);
   /// Interned immutable version of `path()` (computed once per pair,
   /// thread-safe). Measurement hot paths use this; the returned object is
-  /// shared, never recomputed until the topology mutates.
+  /// shared, and replaced only when an adjacency change moves its route.
   PathRef cached_path(int ep_src, int ep_dst) {
     return path_cache_.get(ep_src, ep_dst);
   }
@@ -230,38 +248,49 @@ class Internet {
   /// is not a DC VM.
   RouterPath backbone_path(int dc_ep_a, int dc_ep_b);
   /// Interned immutable version of `backbone_path()` (separate key space
-  /// in the shared PathCache, same invalidation). The multi-hop routing
+  /// in the shared PathCache). The multi-hop routing
   /// plane's edge measurements go through this, so the SoA batch sampler
   /// sees stable interned segments with zero new allocation paths.
   PathRef cached_backbone_path(int dc_ep_a, int dc_ep_b) {
     return path_cache_.get_backbone(dc_ep_a, dc_ep_b);
   }
+  /// True when backbone_path(a, b) rides the private mesh between two
+  /// distinct DC VMs: such a path reads no routing state, so no adjacency
+  /// change can move it.
+  bool on_backbone(int dc_ep_a, int dc_ep_b) const;
 
   // --- dynamics -------------------------------------------------------
+  /// Schedule a transient episode on one link direction. Events are not
+  /// route state: they land in the direction's event list, which the flow
+  /// model reads live at every evaluation, so no path, aggregate, plan or
+  /// route needs to be invalidated. Like every mutation, call it only in
+  /// the single-threaded phase between measurement batches — pool threads
+  /// read the lists while a batch runs.
   void add_event(const LinkEvent& ev);
+  /// Every event ever added, in insertion order.
   const std::vector<LinkEvent>& events() const { return events_; }
+  /// The events of one link direction, in insertion order. The reference
+  /// is stable for the Internet's lifetime (the list only grows).
+  const std::vector<LinkEvent>& link_events(int link_id, bool forward) const {
+    return link_events_[2 * static_cast<std::size_t>(link_id) + (forward ? 1 : 0)];
+  }
 
   /// Mutation observers: registered callbacks fire synchronously on every
   /// post-construction mutation (`add_event`, `set_adjacency_up`), after
-  /// the mutation has been applied. This replaces polling `mutation_epoch`
-  /// for consumers that must react promptly (control planes, caches).
-  /// Listeners run in registration order; the PathCache registers first so
-  /// later listeners always see post-invalidation route queries. Like the
-  /// mutations themselves, registration is single-threaded.
+  /// the mutation has been applied, for consumers that must react promptly
+  /// (control planes, probe schedulers). Listeners run in registration
+  /// order, after the PathCache has re-expanded what moved, so their route
+  /// queries see the converged routes. Like the mutations themselves,
+  /// registration is single-threaded.
   using MutationListener = std::function<void(const Mutation&)>;
   int add_mutation_listener(MutationListener listener);
   void remove_mutation_listener(int id);
 
-  /// Monotonic counter bumped by every post-construction mutation that can
-  /// change path-derived quantities (transient events, BGP failures).
-  /// Consumers caching per-path state compare epochs to invalidate lazily.
-  /// Mutations happen in the single-threaded setup phase between sweeps.
-  std::uint64_t mutation_epoch() const { return mutation_epoch_; }
-
   /// AS-level failure injection: take the BGP session between two
-  /// adjacent ASes down (or back up). Invalidates the routing cache —
-  /// subsequent path queries see the converged post-failure routes.
-  /// Returns false if the ASes are not adjacent.
+  /// adjacent ASes down (or back up). Refreshes the routing tables and
+  /// re-expands exactly the interned paths whose route moved (see
+  /// PathCache::version) — subsequent path queries see the converged
+  /// routes. Returns false if the ASes are not adjacent.
   bool set_adjacency_up(int as_a, int as_b, bool up);
 
   /// Is the BGP adjacency between two ASes currently up? False when the
@@ -289,6 +318,8 @@ class Internet {
   /// AS `as_id` onto `path` (routers and links).
   void append_internal(int as_id, int from_idx, int to_idx, RouterPath* path) const;
   int router_index(int as_id, int router_id) const;
+  /// Index of `ep` among the DC VM endpoints, or -1.
+  int dc_slot(int ep) const;
 
   TopologyParams params_;
   CloudParams cloud_;
@@ -308,7 +339,10 @@ class Internet {
   void notify_mutation(const Mutation& m);
 
   std::vector<LinkEvent> events_;
-  std::uint64_t mutation_epoch_ = 0;
+  /// Per link direction (2 * link_id + forward): its events. A deque, so
+  /// the lists' addresses survive new links; FlowModel::LinkField points
+  /// at them.
+  std::deque<std::vector<LinkEvent>> link_events_;
   std::vector<std::pair<int, MutationListener>> mutation_listeners_;
   int next_listener_id_ = 0;
   Routing routing_{&ases_};

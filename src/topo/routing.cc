@@ -129,6 +129,28 @@ std::vector<Routing::Entry> Routing::compute(int dst_as) const {
   return table;
 }
 
+void Routing::on_adjacency_change(int as_a, int as_b, bool up, Diff* diff) {
+  std::unique_lock<std::shared_mutex> lk(mu_);
+  for (auto& [dst, table] : cache_) {
+    const auto a = static_cast<std::size_t>(as_a);
+    const auto b = static_cast<std::size_t>(as_b);
+    if (!up && table[a].next != as_b && table[b].next != as_a) continue;
+    std::vector<Entry> fresh = compute(dst);
+    std::vector<char>* moved = nullptr;
+    for (std::size_t u = 0; u < fresh.size(); ++u) {
+      if (fresh[u].next == table[u].next) continue;
+      if (moved == nullptr) {
+        moved = &(*diff)[dst];
+        moved->assign(fresh.size(), 0);
+      }
+      (*moved)[u] = 1;
+    }
+    // In place: the map is node-based, so references handed out by `to`
+    // stay valid (they see the new contents).
+    table = std::move(fresh);
+  }
+}
+
 std::vector<int> Routing::as_path(int src_as, int dst_as) {
   std::vector<int> path;
   if (src_as == dst_as) return {src_as};

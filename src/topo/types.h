@@ -138,11 +138,18 @@ struct RouterPath {
   std::vector<Traversal> traversals; ///< access + transit + access links
   std::vector<int> as_seq;           ///< AS-level path
   bool valid = false;
+  /// The endpoints and key space this path was expanded for (set by
+  /// Internet::path and Internet::backbone_path), so a holder of an interned
+  /// path can ask the PathCache whether it is still the current entry.
+  int src_ep = -1;
+  int dst_ep = -1;
+  bool backbone = false;
 };
 
 /// Shared immutable path as returned by the interning PathCache. Pointer
-/// identity is stable for the lifetime of the cache entry, so consumers may
-/// key their own per-path memos on the RouterPath address.
+/// identity is stable for the lifetime of the cache entry — an entry is
+/// replaced only when its route moves — so consumers may key their own
+/// per-path memos on the RouterPath address.
 using PathRef = std::shared_ptr<const RouterPath>;
 
 }  // namespace cronets::topo

@@ -160,14 +160,15 @@ TEST(BatchSampler, ReinternsAfterTopologyMutation) {
   sampler.sample_batch(handles.data(), handles.size(), sim::Time::minutes(30),
                        out.data());
 
-  // Transient event: epoch bump, same routes, field constants change.
-  world.internet().add_event(topo::LinkEvent{0, true, sim::Time::minutes(40),
+  // Transient event: same routes, so every handle stays valid — the
+  // kernel reads the event live. Put it on a link the paths cross.
+  const topo::Traversal hop = paths.front()->traversals.front();
+  world.internet().add_event(topo::LinkEvent{hop.link_id, hop.forward,
+                                             sim::Time::minutes(40),
                                              sim::Time::minutes(80), 0.3});
-  EXPECT_TRUE(sampler.begin_batch());
-  EXPECT_EQ(sampler.paths(), 0u);
-  paths = sweep_paths(world, pops);
-  handles.clear();
-  for (const auto& p : paths) handles.push_back(sampler.intern(p));
+  const std::size_t interned = sampler.paths();
+  EXPECT_FALSE(sampler.begin_batch());
+  EXPECT_EQ(sampler.paths(), interned);
   sampler.sample_batch(handles.data(), handles.size(), sim::Time::minutes(60),
                        out.data());
   for (std::size_t i = 0; i < paths.size(); ++i) {
@@ -176,14 +177,24 @@ TEST(BatchSampler, ReinternsAfterTopologyMutation) {
                          "post-event");
   }
 
-  // BGP failure: routes themselves change and paths re-intern.
-  const auto [as_a, as_b] = tier1_adjacency(world.internet());
-  ASSERT_GE(as_a, 0);
-  ASSERT_TRUE(world.internet().set_adjacency_up(as_a, as_b, false));
-  EXPECT_TRUE(sampler.begin_batch());
+  // BGP failure on a route the paths use: exactly the moved paths'
+  // handles are released; the rest keep their handles.
+  const auto& seq = paths.front()->as_seq;
+  ASSERT_GE(seq.size(), 2u);
+  ASSERT_TRUE(world.internet().set_adjacency_up(seq[0], seq[1], false));
+  std::vector<int> released;
+  EXPECT_TRUE(sampler.begin_batch(&released));
+  const auto old_paths = paths;
+  const auto old_handles = handles;
   paths = sweep_paths(world, pops);
   handles.clear();
   for (const auto& p : paths) handles.push_back(sampler.intern(p));
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const bool moved = paths[i].get() != old_paths[i].get();
+    EXPECT_EQ(handles[i] != old_handles[i], moved);
+    EXPECT_EQ(std::count(released.begin(), released.end(), old_handles[i]) > 0,
+              moved);
+  }
   sampler.sample_batch(handles.data(), handles.size(), sim::Time::minutes(90),
                        out.data());
   for (std::size_t i = 0; i < paths.size(); ++i) {
@@ -270,8 +281,8 @@ TEST(BatchMeasure, PostMutationMeasurementsTrackScalar) {
   world.meter().measure_batch(pairs.data(), pairs.size(), pops.overlays,
                               sim::Time::minutes(10), got.data());
 
-  // Cut a transit adjacency: routes change, the path cache invalidates,
-  // and the next batch re-interns everything against the new epoch.
+  // Cut a transit adjacency: routes change, the path cache replaces the
+  // moved entries, and the next batch re-plans just the pairs naming them.
   const auto [as_a, as_b] = tier1_adjacency(world.internet());
   ASSERT_GE(as_a, 0);
   ASSERT_TRUE(world.internet().set_adjacency_up(as_a, as_b, false));
@@ -387,8 +398,9 @@ TEST(BatchMeasure, WarmSweepsDoNoPlanning) {
 TEST(BatchSampler, ReinternsConsistentlyThroughFlapStorm) {
   // Chaos-style storm: an adjacency bounces down/up repeatedly while a
   // mutation listener subscribes and unsubscribes mid-storm. After every
-  // bounce the sampler must notice the epoch change, demand re-interning,
-  // and reproduce the scalar sampler bit for bit against the new routes.
+  // bounce the sampler must release exactly the handles of the paths whose
+  // route moved, and reproduce the scalar sampler bit for bit against the
+  // new routes.
   wkld::World world(9, small_params(9));
   auto& net = world.internet();
   const auto pops = make_populations(world, 4);
@@ -398,10 +410,9 @@ TEST(BatchSampler, ReinternsConsistentlyThroughFlapStorm) {
 
   model::BatchSampler sampler(&world.flow());
   sampler.begin_batch();
-  {
-    const auto paths = sweep_paths(world, pops);
-    for (const auto& p : paths) sampler.intern(p);
-  }
+  std::vector<topo::PathRef> paths = sweep_paths(world, pops);
+  std::vector<int> handles;
+  for (const auto& p : paths) handles.push_back(sampler.intern(p));
 
   int listener_seen = 0;
   int listener = net.add_mutation_listener(
@@ -411,18 +422,29 @@ TEST(BatchSampler, ReinternsConsistentlyThroughFlapStorm) {
   for (int round = 0; round < 6; ++round) {
     const bool up = (round % 2) != 0;
     ASSERT_TRUE(net.set_adjacency_up(as_a, as_b, up));
-    // Listener churn mid-storm must not disturb the sampler's own
-    // epoch-listener registration.
+    // Listener churn mid-storm must not disturb the sampler's sync with
+    // the PathCache.
     if (round == 2) {
       net.remove_mutation_listener(listener);
       listener = net.add_mutation_listener(
           [&](const topo::Mutation&) { ++listener_seen; });
     }
-    EXPECT_TRUE(sampler.begin_batch());  // epoch changed: everything drops
-    EXPECT_EQ(sampler.paths(), 0u);
-    const auto paths = sweep_paths(world, pops);
-    std::vector<int> handles;
+    std::vector<int> released;
+    const bool any = sampler.begin_batch(&released);
+    const auto old_paths = paths;
+    const auto old_handles = handles;
+    paths = sweep_paths(world, pops);
+    handles.clear();
     for (const auto& p : paths) handles.push_back(sampler.intern(p));
+    bool moved_any = false;
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      const bool moved = paths[i].get() != old_paths[i].get();
+      moved_any = moved_any || moved;
+      EXPECT_EQ(handles[i] != old_handles[i], moved);
+      EXPECT_EQ(std::count(released.begin(), released.end(), old_handles[i]) > 0,
+                moved);
+    }
+    EXPECT_EQ(any, moved_any);
     out.resize(paths.size());
     const sim::Time t = sim::Time::minutes(15 * (round + 1));
     sampler.sample_batch(handles.data(), handles.size(), t, out.data());
@@ -433,7 +455,7 @@ TEST(BatchSampler, ReinternsConsistentlyThroughFlapStorm) {
   net.remove_mutation_listener(listener);
   EXPECT_EQ(listener_seen, 6);
 
-  // Quiet world: no epoch change, the interned batch stays valid.
+  // Quiet world: nothing moved, the interned batch stays valid.
   EXPECT_FALSE(sampler.begin_batch());
 }
 

@@ -1,9 +1,9 @@
 // The interning PathCache's contract: cached paths are structurally equal
-// to fresh expansions across an endpoint mesh, pointer-stable, dropped on
-// topology mutation, and deterministic under concurrent hammering. Also
-// pins the fast FlowModel::sample(PathRef) overload to the generic sampler
-// bit for bit — including after transient events invalidate the
-// precomputed aggregates.
+// to fresh expansions across an endpoint mesh, pointer-stable, replaced
+// exactly when a topology mutation moves their route, and deterministic
+// under concurrent hammering. Also pins the memoized
+// FlowModel::sample(PathRef) to a fresh model bit for bit — including after
+// transient events, which reach the samples without rebuilding aggregates.
 
 #include <gtest/gtest.h>
 
@@ -71,19 +71,61 @@ TEST(PathCache, RepeatLookupsInternOneObjectAndCountHits) {
   EXPECT_NE(net.cached_path(dst, src).get(), first.get());
 }
 
-TEST(PathCache, AdjacencyChangeInvalidatesAndRefsStayUsable) {
+// Snapshot of every interned (src, dst) path of the mesh.
+std::vector<topo::PathRef> mesh_snapshot(topo::Internet& net,
+                                         const std::vector<int>& eps) {
+  std::vector<topo::PathRef> out;
+  for (int src : eps)
+    for (int dst : eps)
+      if (src != dst) out.push_back(net.cached_path(src, dst));
+  return out;
+}
+
+// After a mutation: every entry equals a fresh expansion, an entry kept its
+// object iff its route did not move, and the moved-key log since
+// `version_before` names exactly the replaced entries.
+void expect_scoped_update(topo::Internet& net, const std::vector<int>& eps,
+                          const std::vector<topo::PathRef>& before,
+                          std::uint64_t version_before) {
+  std::vector<std::uint64_t> replaced;
+  std::size_t k = 0;
+  for (int src : eps) {
+    for (int dst : eps) {
+      if (src == dst) continue;
+      const topo::PathRef now = net.cached_path(src, dst);
+      const topo::RouterPath fresh = net.path(src, dst);
+      expect_same_path(*now, fresh);
+      const topo::RouterPath& old = *before[k++];
+      const bool moved = old.valid != fresh.valid || old.routers != fresh.routers ||
+                         old.as_seq != fresh.as_seq;
+      EXPECT_EQ(now.get() != before[k - 1].get(), moved) << src << "->" << dst;
+      if (moved) replaced.push_back(topo::PathCache::key(src, dst));
+    }
+  }
+  const auto log = net.path_cache().moved_since(version_before);
+  std::vector<std::uint64_t> logged(log.begin(), log.end());
+  std::sort(replaced.begin(), replaced.end());
+  std::sort(logged.begin(), logged.end());
+  EXPECT_EQ(logged, replaced);
+}
+
+TEST(PathCache, AdjacencyChangeReplacesOnlyMovedEntriesAndRefsStayUsable) {
   wkld::World world(7);
   auto& net = world.internet();
   const std::vector<int> eps = mesh_endpoints(world);
   const int src = eps.front(), dst = eps.back();
 
+  const std::vector<topo::PathRef> mesh = mesh_snapshot(net, eps);
   const topo::PathRef before = net.cached_path(src, dst);
   ASSERT_TRUE(before->valid);
   ASSERT_GE(before->as_seq.size(), 2u);
 
-  // Fail a BGP session on the cached route; the interned mesh must drop.
+  // Fail a BGP session on the cached route: the entries crossing it are
+  // replaced, every other entry keeps its object.
+  const std::uint64_t v0 = net.path_cache().version();
   ASSERT_TRUE(net.set_adjacency_up(before->as_seq[0], before->as_seq[1], false));
-  EXPECT_EQ(net.path_cache().size(), 0u);
+  EXPECT_GT(net.path_cache().version(), v0);
+  expect_scoped_update(net, eps, mesh, v0);
 
   const topo::PathRef after = net.cached_path(src, dst);
   EXPECT_NE(after.get(), before.get());
@@ -134,10 +176,10 @@ TEST(PathCache, ConcurrentLookupsInternExactlyOneObjectPerPair) {
 
 TEST(PathCache, FlapStormWithListenerChurnKeepsCacheConsistent) {
   // A chaos-style flap storm: adjacencies bounce rapidly while mutation
-  // listeners subscribe and unsubscribe mid-storm. The cache must drop its
-  // interned mesh on every adjacency change, the epoch must advance
-  // monotonically, and listeners must see exactly the mutations delivered
-  // while they were subscribed.
+  // listeners subscribe and unsubscribe mid-storm. After every bounce the
+  // cache must hold fresh expansions, replace exactly the entries whose
+  // route moved (and log their keys), and listeners must see exactly the
+  // mutations delivered while they were subscribed.
   wkld::World world(7);
   auto& net = world.internet();
   const std::vector<int> eps = mesh_endpoints(world);
@@ -162,17 +204,15 @@ TEST(PathCache, FlapStormWithListenerChurnKeepsCacheConsistent) {
       });
   int late = -1;
 
-  std::uint64_t last_epoch = net.mutation_epoch();
   constexpr int kRounds = 8;
   for (int round = 0; round < kRounds; ++round) {
     for (const auto& [a, b] : flaps) {
-      ASSERT_TRUE(net.set_adjacency_up(a, b, false));
-      EXPECT_EQ(net.path_cache().size(), 0u);  // mesh dropped synchronously
-      EXPECT_GT(net.mutation_epoch(), last_epoch);
-      last_epoch = net.mutation_epoch();
-      ASSERT_TRUE(net.set_adjacency_up(a, b, true));
-      EXPECT_GT(net.mutation_epoch(), last_epoch);
-      last_epoch = net.mutation_epoch();
+      for (const bool up : {false, true}) {
+        const std::vector<topo::PathRef> mesh = mesh_snapshot(net, eps);
+        const std::uint64_t v0 = net.path_cache().version();
+        ASSERT_TRUE(net.set_adjacency_up(a, b, up));
+        expect_scoped_update(net, eps, mesh, v0);  // synchronous, scoped
+      }
     }
     // Listener churn mid-storm: the early listener leaves halfway, a late
     // one joins — neither unsubscription nor subscription may be missed.
@@ -231,7 +271,7 @@ TEST(PathAggregates, FastSampleMatchesFreshModelBitwise) {
   }
 }
 
-TEST(PathAggregates, TransientEventInvalidatesAggregates) {
+TEST(PathAggregates, TransientEventReachesSamplesWithoutRebuilds) {
   wkld::World world(11);
   auto& net = world.internet();
   const std::vector<int> eps = mesh_endpoints(world);
@@ -240,9 +280,10 @@ TEST(PathAggregates, TransientEventInvalidatesAggregates) {
 
   const topo::PathRef p = net.cached_path(src, dst);
   const model::PathMetrics calm = world.flow().sample(p, t);
+  const auto agg = world.flow().aggregates(p);
 
-  // Saturate the first traversed link inside a window covering t; the
-  // precomputed aggregates (which carry per-link event lists) must rebuild.
+  // Saturate the first traversed link inside a window covering t. Events
+  // are read live through the fields: no path, aggregate or route moves.
   topo::LinkEvent ev;
   ev.link_id = p->traversals.front().link_id;
   ev.forward = p->traversals.front().forward;
@@ -250,6 +291,9 @@ TEST(PathAggregates, TransientEventInvalidatesAggregates) {
   ev.until = sim::Time::hours(3);
   ev.util_boost = 0.5;
   net.add_event(ev);
+  EXPECT_EQ(net.cached_path(src, dst).get(), p.get());
+  EXPECT_EQ(world.flow().aggregates(p).get(), agg.get());
+  EXPECT_EQ(net.path_cache().version(), 0u);
 
   // A model built after the mutation has never seen the calm aggregates,
   // nor shares the warm model's field memo: stale state in either shows.

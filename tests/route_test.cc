@@ -371,7 +371,7 @@ ControlResult run_control(Policy policy, int num_shards, int threads,
   };
   for (std::size_t g = 0; g < broker.pair_count(); ++g) {
     for (const auto& c : broker.pair(static_cast<int>(g)).candidates) {
-      if (c.kind == core::PathKind::kMultiHop && unrented(c.via)) {
+      if (c.kind == core::PathKind::kMultiHop && unrented(c.via())) {
         ++r.unrented_chains;
       }
     }

@@ -375,6 +375,9 @@ TEST(IncrementalReRank, FailoverMarksExactlyTheAdjacentPairsDirty) {
   const auto& seq = ranker.pair(0).candidates[0].path->as_seq;
   ASSERT_GE(seq.size(), 2u);
   const int as_a = seq[0], as_b = seq[1];
+  // The ranker is told about a failure after the topology applied it: the
+  // pairs holding paths the PathCache replaced are the ones to check.
+  ASSERT_TRUE(world.internet().set_adjacency_up(as_a, as_b, false));
   std::vector<int> affected;
   ranker.mark_adjacency_down(as_a, as_b, &affected);
   ASSERT_FALSE(affected.empty());
@@ -447,10 +450,11 @@ TEST(InternetMutation, ListenersObserveEventsAndUnsubscribe) {
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0].kind, topo::Mutation::Kind::kTransientEvent);
   EXPECT_EQ(seen[0].event.link_id, 0);
-  EXPECT_EQ(seen[0].epoch, net.mutation_epoch());
+  // An event is not route state: no interned path moved.
+  EXPECT_EQ(net.path_cache().version(), 0u);
 
-  // An adjacency flap delivers change + restore, with the epoch bumped
-  // before the listener runs.
+  // An adjacency flap delivers change + restore, after the PathCache has
+  // re-expanded what moved.
   const auto path = net.cached_path(clients[0], servers[0]);
   ASSERT_TRUE(path->valid);
   ASSERT_GE(path->as_seq.size(), 2u);
@@ -461,9 +465,10 @@ TEST(InternetMutation, ListenersObserveEventsAndUnsubscribe) {
   EXPECT_EQ(seen[1].as_a, as_a);
   EXPECT_EQ(seen[1].as_b, as_b);
   EXPECT_FALSE(seen[1].up);
+  EXPECT_GE(net.path_cache().version(), 1u);
 
-  // The PathCache listener (registered first) already dropped the interned
-  // path: a fresh query reroutes while the old ref stays readable.
+  // The PathCache already replaced the interned path before the listener
+  // ran: a fresh query reroutes while the old ref stays readable.
   const auto rerouted = net.cached_path(clients[0], servers[0]);
   EXPECT_NE(rerouted.get(), path.get());
   EXPECT_TRUE(path->valid);  // stale, not dangling
